@@ -20,9 +20,8 @@
  *      strictly positive at the fastest rung — while the no-hop rung
  *      stays spurious-free.
  *  [2] steering x migration sweep through the campaign engine:
- *      StaticPaper/RSS/FlowDirector with the hop driver off and on
- *      (plus a multi-lane Flow Director point). RSS and the paper's
- *      static steering hash per flow and cannot reorder no matter how
+ *      StaticPaper/RSS/FlowDirector with the hop driver off and on.
+ *      RSS and the paper's static steering hash per flow and cannot reorder no matter how
  *      hard tasks hop (asserted: zero OOO arrivals whenever no RX ring
  *      dropped); only Flow Director pays for migrations.
  *  [3] seven-bin cycle accounting and impact indicators for Flow
@@ -281,14 +280,12 @@ steeringSweep(bool smoke)
     {
         net::SteeringKind kind;
         sim::Tick hop;
-        int lanes;
     };
     std::vector<PointSpec> specs;
     for (net::SteeringKind kind : net::allSteeringKinds) {
-        specs.push_back({kind, 0, 1});
-        specs.push_back({kind, fast_hop, 1});
+        specs.push_back({kind, 0});
+        specs.push_back({kind, fast_hop});
     }
-    specs.push_back({net::SteeringKind::FlowDirector, fast_hop, 2});
 
     std::vector<core::CampaignPoint> points;
     for (const PointSpec &s : specs) {
@@ -297,15 +294,13 @@ steeringSweep(bool smoke)
         cfg.steering.numQueues =
             s.kind == net::SteeringKind::StaticPaper ? 1 : 4;
         cfg.mix().senderHopTicks = s.hop;
-        cfg.lanes = s.lanes;
         core::CampaignPoint p;
         p.config = cfg;
         p.schedule.warmup = smoke ? 4'000'000 : 20'000'000;
         p.schedule.measure = smoke ? 200'000'000 : 800'000'000;
         p.label = sim::format(
-            "%s hop=%s%s",
-            std::string(steeringKindName(s.kind)).c_str(),
-            s.hop ? "fast" : "off", s.lanes > 1 ? " lanes=2" : "");
+            "%s hop=%s", std::string(steeringKindName(s.kind)).c_str(),
+            s.hop ? "fast" : "off");
         points.push_back(std::move(p));
     }
 
@@ -359,7 +354,7 @@ steeringSweep(bool smoke)
             }
             check(r.flows.flowMigrations == 0,
                   label + ": no flow table, no migrations");
-        } else if (s.lanes == 1) {
+        } else {
             if (s.hop == 0)
                 fd_base_spurious = r.reorder.spuriousRetransmits;
             else

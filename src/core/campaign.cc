@@ -366,22 +366,6 @@ Campaign::run(std::vector<CampaignPoint> points, const Options &options)
     };
 
     int n_threads = resolveThreads(options.numThreads);
-    // Each multi-lane point runs config.lanes threads of its own;
-    // budget the auto-derived pool against the widest point so
-    // campaign x lane oversubscription stays bounded by the hardware.
-    // An explicit request (Options::numThreads or NA_CAMPAIGN_THREADS)
-    // is honoured as given.
-    if (options.numThreads <= 0 &&
-        env::raw("NA_CAMPAIGN_THREADS") == nullptr) {
-        int max_lanes = 1;
-        for (const CampaignPoint &p : points) {
-            if (p.config.lanes > 1 && p.config.laneThreads)
-                max_lanes = std::max(max_lanes, p.config.lanes);
-        }
-        if (max_lanes > 1) {
-            n_threads = std::max(1, n_threads / max_lanes);
-        }
-    }
     if (queue.size() < static_cast<std::size_t>(n_threads))
         n_threads = static_cast<int>(queue.size());
     if (n_threads < 1)

@@ -51,7 +51,9 @@ canonicalPointText(const SystemConfig &config,
     t += "|wire=" + dblText(config.wireBitsPerSec);
     t += "," + std::to_string(config.wireLatencyTicks);
     t += "," + dblText(config.wireLossProb);
-    t += "|lanes=" + std::to_string(config.lanes);
+    // Literal kept from the removed lane setting (always 1): dropping
+    // it would change every stored key and invalidate resume streams.
+    t += "|lanes=1";
     t += "|iv=" + dblText(config.statsIntervalUs);
     t += "|sched=" + std::to_string(schedule.establishDeadline);
     t += "," + std::to_string(schedule.warmup);

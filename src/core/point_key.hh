@@ -5,7 +5,7 @@
  * A PointKey is a stable 64-bit hash (FNV-1a) over a canonical text
  * serialization of everything that determines a point's result:
  * SystemConfig::summary()-grade config fields, the platform seed, the
- * wire parameters, the lane/observability knobs, and the RunSchedule.
+ * wire parameters, the observability knobs, and the RunSchedule.
  * Two points with the same key produce bit-identical results, so:
  *
  *  - resumable sweeps skip points whose key already has a successful
@@ -22,7 +22,7 @@
  * schema round-trips plus the run schedule — not every last TcpConfig
  * and NicConfig knob. Sweeps vary configuration through the covered
  * axes; if an experiment hand-edits a field outside them, it should
- * not reuse an old resume file (documented in DESIGN.md §15).
+ * not reuse an old resume file (documented in DESIGN.md §14).
  *
  * PointKeyRegistry is the collision checker: it remembers the
  * canonical text behind every key it has seen, flags identical points

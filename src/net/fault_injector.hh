@@ -4,14 +4,14 @@
  * and per interrupt, with counters for every fault that fired.
  *
  * One FaultInjector serves one connection's wire + NIC pair (they are
- * installed together by core::System). Everything is per-direction so
- * the injector works under the lane scheduler, where the SUT-to-peer
- * direction is consulted by the host lane and the peer-to-SUT direction
- * by the peer's lane: each direction has its own RNG stream (consumed
- * in that lane's deterministic event order) and its own counter group,
- * so no state is ever written by two lanes. The NIC-side faults (lost
- * interrupts, RX stalls, checksum catches) are host-only and share the
- * toPeer direction's stream.
+ * installed together by core::System). Each direction has its own RNG
+ * stream and its own counter group. The split fixes the draw order:
+ * a direction's stream is consumed only by that direction's packets,
+ * so faulted results stay byte-identical to the streams they were
+ * recorded with, and the per-direction counters are published result
+ * stats. The NIC-side faults (lost interrupts, RX stalls, checksum
+ * catches) are host-side; the interrupt-loss draws share the toPeer
+ * direction's stream.
  *
  * The injector is only constructed when the plan is enabled; wires and
  * NICs hold a nullable pointer, so faults-off runs take one untaken
@@ -45,7 +45,7 @@ class FaultInjector : public stats::Group
         sim::Tick extraDelayTicks = 0; ///< reordering delay
     };
 
-    /** Wire-fault counters for one direction (single-writer lane). */
+    /** Wire-fault counters for one direction. */
     struct DirStats : public stats::Group
     {
         DirStats(stats::Group *parent, const std::string &name);
@@ -89,11 +89,10 @@ class FaultInjector : public stats::Group
     /** RX-side checksum catch of an injected corruption (counted). */
     void noteCsumDrop() { ++rxCsumDrops; }
 
-    DirStats toPeerStats; ///< SUT -> peer faults (host lane writes)
-    DirStats toSutStats;  ///< peer -> SUT faults (peer lane writes)
+    DirStats toPeerStats; ///< SUT -> peer faults
+    DirStats toSutStats;  ///< peer -> SUT faults
 
-    /** @name Direction-summed totals for reporting (quiescent readers
-     *  only — result extraction, tests, benches) @{ */
+    /** @name Direction-summed totals for reporting @{ */
     double dropsLoss() const
     {
         return toPeerStats.dropsLoss.value() +
@@ -131,8 +130,9 @@ class FaultInjector : public stats::Group
 
   private:
     sim::FaultPlan fp;
-    /** Per-direction streams: [0] toPeer (host lane, also the NIC's
-     *  interrupt-loss draws), [1] toSut (peer lane). */
+    /** Per-direction streams: [0] toPeer (also the NIC's
+     *  interrupt-loss draws), [1] toSut. Kept apart so each stream's
+     *  draw order stays fixed. */
     sim::Random rng[2];
     /** Gilbert-Elliott state per direction: [0] toPeer, [1] toSut. */
     bool geBad[2] = {false, false};

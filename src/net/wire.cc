@@ -41,7 +41,7 @@ Wire::Wire(stats::Group *parent, const std::string &name,
                  "packets dropped by injected loss, SUT -> peer"),
       lossesBtoA(this, "losses_b_to_a",
                  "packets dropped by injected loss, peer -> SUT"),
-      eqA(eq_ref), eqB(&eq_ref), freqHz(freq_hz), rate(bits_per_sec),
+      eq(eq_ref), freqHz(freq_hz), rate(bits_per_sec),
       latency(latency_ticks), lossProb(loss_prob), rngAB(seed),
       rngBA(seed + dirStreamDelta)
 {
@@ -49,89 +49,38 @@ Wire::Wire(stats::Group *parent, const std::string &name,
 
 Wire::~Wire()
 {
-    // The queues may outlive us (System tears members down before the
-    // scheduler and its lane queues), so take in-flight deliveries off
-    // them first. A->B events live on side B's queue and vice versa.
-    for (auto &ev : eventsAB) {
+    // The queue outlives the wire (System declares it first), so take
+    // in-flight deliveries off it before their storage goes.
+    for (auto &ev : events) {
         if (ev->scheduled())
-            eqB->deschedule(ev.get());
+            eq.deschedule(ev.get());
     }
-    for (auto &ev : eventsBA) {
-        if (ev->scheduled())
-            eqA.deschedule(ev.get());
-    }
-}
-
-void
-Wire::setLanes(sim::LaneScheduler &sched, int lane_a, int lane_b)
-{
-    if (latency < sched.lookahead())
-        sim::panic("wire %s: latency %llu below scheduler lookahead "
-                   "%llu — the conservative horizon would be violated",
-                   groupName().c_str(), (unsigned long long)latency,
-                   (unsigned long long)sched.lookahead());
-    lanes = &sched;
-    laneA = lane_a;
-    laneB = lane_b;
-    eqB = &sched.lane(lane_b);
-    if (lane_a != lane_b)
-        sched.addBarrierHook([this] { spliceRetired(); });
 }
 
 Wire::DeliverEvent *
-Wire::allocDeliverEvent(bool from_a)
+Wire::allocDeliverEvent()
 {
-    DeliverEvent *&free_head = from_a ? freeAB : freeBA;
-    if (free_head) {
-        DeliverEvent *ev = free_head;
-        free_head = ev->nextFree;
+    if (freeList) {
+        DeliverEvent *ev = freeList;
+        freeList = ev->nextFree;
         ev->nextFree = nullptr;
         return ev;
     }
-    auto &owner = from_a ? eventsAB : eventsBA;
-    owner.push_back(std::make_unique<DeliverEvent>(*this));
-    return owner.back().get();
+    events.push_back(std::make_unique<DeliverEvent>(*this));
+    return events.back().get();
 }
 
 void
 Wire::recycle(DeliverEvent *ev)
 {
-    if (lanes && laneA != laneB) {
-        // Processed on the receiver's lane while the sender may be
-        // allocating: park on the receiver-owned retire list; the
-        // barrier hook splices it back when all lanes are quiescent.
-        DeliverEvent *&retire_head = ev->fromA ? retireAB : retireBA;
-        ev->nextFree = retire_head;
-        retire_head = ev;
-        return;
-    }
-    DeliverEvent *&free_head = ev->fromA ? freeAB : freeBA;
-    ev->nextFree = free_head;
-    free_head = ev;
-}
-
-void
-Wire::spliceRetired()
-{
-    while (retireAB) {
-        DeliverEvent *ev = retireAB;
-        retireAB = ev->nextFree;
-        ev->nextFree = freeAB;
-        freeAB = ev;
-    }
-    while (retireBA) {
-        DeliverEvent *ev = retireBA;
-        retireBA = ev->nextFree;
-        ev->nextFree = freeBA;
-        freeBA = ev;
-    }
+    ev->nextFree = freeList;
+    freeList = ev;
 }
 
 void
 Wire::send(const Packet &pkt, bool from_a)
 {
-    sim::EventQueue &src = from_a ? eqA : *eqB;
-    const sim::Tick now = src.now();
+    const sim::Tick now = eq.now();
 
     if (lossProb > 0.0 && (from_a ? rngAB : rngBA).chance(lossProb)) {
         ++(from_a ? lossesAtoB : lossesBtoA);
@@ -170,31 +119,20 @@ Wire::send(const Packet &pkt, bool from_a)
 
     const sim::Tick when = done + latency + fd.extraDelayTicks;
 
-    DeliverEvent *ev = allocDeliverEvent(from_a);
+    DeliverEvent *ev = allocDeliverEvent();
     ev->pkt = pkt;
     ev->pkt.corrupt = fd.corrupt;
     ev->fromA = from_a;
 
-    DeliverEvent *dup = nullptr;
+    eq.schedule(ev, when);
+
     if (fd.duplicate) {
         // The copy rides one tick behind the original, so the receiver
         // sees a clean duplicate rather than a coalesced double.
-        dup = allocDeliverEvent(from_a);
+        DeliverEvent *dup = allocDeliverEvent();
         dup->pkt = ev->pkt;
         dup->fromA = from_a;
-    }
-
-    if (lanes && laneA != laneB) {
-        const int from_lane = from_a ? laneA : laneB;
-        const int to_lane = from_a ? laneB : laneA;
-        lanes->scheduleCross(from_lane, to_lane, ev, when);
-        if (dup)
-            lanes->scheduleCross(from_lane, to_lane, dup, when + 1);
-    } else {
-        sim::EventQueue &dst = from_a ? *eqB : eqA;
-        dst.schedule(ev, when);
-        if (dup)
-            dst.schedule(dup, when + 1);
+        eq.schedule(dup, when + 1);
     }
 }
 

@@ -5,14 +5,6 @@
  * Models per-direction serialization at the configured line rate plus
  * propagation latency. Optional random loss supports the property tests
  * that exercise TCP retransmission.
- *
- * The wire is the only object that spans two scheduler lanes: side A
- * (the SUT) executes on the host lane, side B (the peer) may execute on
- * another. Everything here is therefore strictly per-direction — RNG
- * streams, loss counters, busy trackers, and delivery-event pools are
- * all touched by exactly one lane, and cross-lane deliveries route
- * through the LaneScheduler's channels. Single-lane construction (no
- * setLanes() call) behaves exactly as before.
  */
 
 #ifndef NETAFFINITY_NET_WIRE_HH
@@ -25,7 +17,6 @@
 
 #include "src/net/segment.hh"
 #include "src/sim/event_queue.hh"
-#include "src/sim/lane_scheduler.hh"
 #include "src/sim/random.hh"
 #include "src/sim/types.hh"
 #include "src/stats/stats.hh"
@@ -57,20 +48,6 @@ class Wire : public stats::Group
     /** Attach side B's (peer's) receive callback. */
     void attachB(Deliver cb) { deliverB = std::move(cb); }
 
-    /**
-     * Put the two sides on scheduler lanes: side A on @p lane_a, side B
-     * on @p lane_b. Side B's timers and deliveries then run on lane
-     * @p lane_b's queue, cross-lane deliveries ride the scheduler's
-     * channels, and receiver-retired delivery events are spliced back
-     * to the sender's freelist at barriers. The wire's propagation
-     * latency must be >= the scheduler's lookahead for the
-     * conservative-horizon contract to hold.
-     */
-    void setLanes(sim::LaneScheduler &sched, int lane_a, int lane_b);
-
-    /** The queue side B (the peer) runs on: lane B's, else side A's. */
-    sim::EventQueue &peerQueue() { return *eqB; }
-
     /** Transmit from the SUT toward the peer. */
     void sendFromA(const Packet &pkt);
 
@@ -92,13 +69,12 @@ class Wire : public stats::Group
     stats::Scalar pktsBtoA;
     stats::Scalar bytesAtoB;
     stats::Scalar bytesBtoA;
-    /** Injected-loss drops, split per direction: each counter has a
-     *  single writer lane (A drops its own transmissions, B likewise). */
+    /** Injected-loss drops, split per direction (both are published
+     *  result stats: losses_a_to_b / losses_b_to_a). */
     stats::Scalar lossesAtoB;
     stats::Scalar lossesBtoA;
 
-    /** @return total injected-loss drops, both directions (readers
-     *          must be quiescent — tests and result extraction). */
+    /** @return total injected-loss drops, both directions. */
     double losses() const
     {
         return lossesAtoB.value() + lossesBtoA.value();
@@ -106,12 +82,9 @@ class Wire : public stats::Group
 
   private:
     /**
-     * One in-flight packet delivery. Pooled through per-direction
-     * intrusive freelists: the sender lane pops from its freelist, the
-     * receiver lane pushes spent events onto its retire list, and the
-     * barrier hook splices retired events back — so the steady-state
-     * per-packet path performs no heap allocation and no two lanes
-     * ever touch the same list.
+     * One in-flight packet delivery. Pooled through an intrusive
+     * freelist, so the steady-state per-packet path performs no heap
+     * allocation.
      */
     class DeliverEvent : public sim::Event
     {
@@ -127,18 +100,15 @@ class Wire : public stats::Group
         Wire &wire;
     };
 
-    sim::EventQueue &eqA;
-    sim::EventQueue *eqB; ///< side B's lane queue (&eqA single-lane)
-    sim::LaneScheduler *lanes = nullptr;
-    int laneA = 0;
-    int laneB = 0;
+    sim::EventQueue &eq;
     double freqHz;
     double rate;
     sim::Tick latency;
     double lossProb;
     FaultInjector *faults = nullptr;
-    /** Per-direction loss RNGs so each stream is consumed in its own
-     *  lane's deterministic event order. */
+    /** Per-direction loss RNGs: each direction draws from its own
+     *  stream in a fixed order, so faulted and lossy results stay
+     *  byte-identical to the streams they were recorded with. */
     sim::Random rngAB;
     sim::Random rngBA;
     Deliver deliverA;
@@ -146,20 +116,14 @@ class Wire : public stats::Group
     sim::Tick busyUntilAB = 0;
     sim::Tick busyUntilBA = 0;
 
-    /** @name Per-direction event pools (owner vectors grow only to the
-     *  in-flight high-water mark; lists are intrusive via nextFree) @{ */
-    std::vector<std::unique_ptr<DeliverEvent>> eventsAB; ///< A allocs
-    std::vector<std::unique_ptr<DeliverEvent>> eventsBA; ///< B allocs
-    DeliverEvent *freeAB = nullptr;   ///< popped by lane A only
-    DeliverEvent *freeBA = nullptr;   ///< popped by lane B only
-    DeliverEvent *retireAB = nullptr; ///< pushed by lane B only
-    DeliverEvent *retireBA = nullptr; ///< pushed by lane A only
-    /** @} */
+    /** Delivery-event pool: the owner vector grows only to the
+     *  in-flight high-water mark; the freelist is intrusive via
+     *  nextFree. */
+    std::vector<std::unique_ptr<DeliverEvent>> events;
+    DeliverEvent *freeList = nullptr;
 
-    DeliverEvent *allocDeliverEvent(bool from_a);
+    DeliverEvent *allocDeliverEvent();
     void recycle(DeliverEvent *ev);
-    /** Barrier hook: splice retire lists back onto freelists. */
-    void spliceRetired();
 
     void send(const Packet &pkt, bool from_a);
 };

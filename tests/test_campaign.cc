@@ -1,7 +1,8 @@
 /**
  * @file
  * Campaign engine: parallel determinism, submission-order collection,
- * sweep construction, and the JSON results round trip.
+ * sweep construction, the JSON results round trip, and repeat-run
+ * determinism of single runs across steering x faults x workload.
  */
 
 #include <gtest/gtest.h>
@@ -12,7 +13,10 @@
 
 #include "src/core/campaign.hh"
 #include "src/core/results_json.hh"
+#include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
+#include "src/core/system.hh"
+#include "src/sim/fault_plan.hh"
 #include "src/sim/logging.hh"
 
 using namespace na;
@@ -422,6 +426,96 @@ TEST(ResultsJson, RejectsMalformedInput)
         "{\"schema_version\": 99, \"campaign_seed\": 0, \"threads\": 1, "
         "\"points\": []}");
     EXPECT_THROW(core::readResultsJson(wrongVersion), std::runtime_error);
+}
+
+sim::FaultPlan
+lossyPlan()
+{
+    sim::FaultPlan p;
+    p.tag = "lossy";
+    p.toPeer.lossProb = 0.002;
+    p.toSut.lossProb = 0.002;
+    p.toSut.corruptProb = 0.001;
+    p.toPeer.dupProb = 0.002;
+    return p;
+}
+
+/** Repeat-run matrix: steering policy x fault plan x workload. */
+std::vector<core::CampaignPoint>
+repeatMatrix()
+{
+    std::vector<core::CampaignPoint> out;
+    auto add = [&out](const std::string &label, core::SystemConfig cfg) {
+        core::CampaignPoint p;
+        p.config = std::move(cfg);
+        p.schedule = tinySchedule();
+        p.label = label;
+        out.push_back(std::move(p));
+    };
+
+    core::SystemConfig base;
+    base.platform.numCpus = 2;
+    base.numConnections = 2;
+    {
+        core::SystemConfig cfg = base;
+        cfg.platform.seed = 42;
+        cfg.affinity = core::AffinityMode::Full;
+        cfg.ttcp().mode = workload::TtcpMode::Transmit;
+        cfg.ttcp().msgSize = 4096;
+        add("ttcp-tx-static", cfg);
+    }
+    {
+        core::SystemConfig cfg = base;
+        cfg.platform.seed = 43;
+        cfg.ttcp().mode = workload::TtcpMode::Receive;
+        cfg.ttcp().msgSize = 4096;
+        cfg.steering.kind = net::SteeringKind::Rss;
+        cfg.steering.numQueues = 2;
+        add("ttcp-rx-rss", cfg);
+    }
+    {
+        core::SystemConfig cfg = base;
+        cfg.platform.seed = 44;
+        cfg.ttcp().mode = workload::TtcpMode::Transmit;
+        cfg.ttcp().msgSize = 16384;
+        cfg.steering.kind = net::SteeringKind::FlowDirector;
+        cfg.steering.numQueues = 2;
+        cfg.faults = lossyPlan();
+        add("ttcp-tx-fd-faults", cfg);
+    }
+    {
+        core::SystemConfig cfg = base;
+        cfg.platform.seed = 45;
+        workload::FlowMixConfig mix;
+        mix.maxConcurrentFlows = 8;
+        mix.flowSizeMin = 1024;
+        mix.flowSizeMax = 64 * 1024;
+        mix.meanInterarrivalTicks = 150'000;
+        cfg.workload = mix;
+        add("flowmix-static", cfg);
+    }
+    return out;
+}
+
+/** Build a fresh System for @p p, measure it, and return the result's
+ *  JSONL record: every RunResult field, doubles in shortest
+ *  round-trip form, so equal text means bit-identical results. */
+std::string
+measuredRecord(const core::CampaignPoint &p)
+{
+    core::System sys(p.config);
+    const core::RunResult r = core::Experiment::measure(sys, p.schedule);
+    EXPECT_FALSE(r.failed) << p.label;
+    EXPECT_GT(r.payloadBytes, 0u) << p.label;
+    std::ostringstream os;
+    core::writeJsonlRecord(os, p, r, 0);
+    return os.str();
+}
+
+TEST(RunDeterminism, RepeatRunsAreIdentical)
+{
+    for (const core::CampaignPoint &p : repeatMatrix())
+        EXPECT_EQ(measuredRecord(p), measuredRecord(p)) << p.label;
 }
 
 TEST(ResultSet, LookupFailuresAreDescriptive)
