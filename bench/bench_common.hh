@@ -7,9 +7,9 @@
  * from the ResultSet. Environment knobs shared by every binary:
  *
  *   NA_CAMPAIGN_THREADS=N   worker threads (default: hardware)
- *   NA_CAMPAIGN_JSON=PATH   also export results to PATH as JSON
  *   NA_CAMPAIGN_JSONL=PATH  stream each completed point to PATH as a
- *                           JSONL record (crash-safe, resumable)
+ *                           JSONL record (crash-safe, resumable; the
+ *                           results format, results_jsonl.hh)
  */
 
 #ifndef NETAFFINITY_BENCH_BENCH_COMMON_HH
@@ -24,7 +24,6 @@
 #include "src/analysis/table.hh"
 #include "src/core/campaign.hh"
 #include "src/core/env.hh"
-#include "src/core/results_json.hh"
 #include "src/core/sweep.hh"
 #include "src/sim/logging.hh"
 
@@ -49,9 +48,9 @@ constexpr std::array<core::AffinityMode, 4> columnOrder = {
 
 /**
  * Run a campaign with the shared environment knobs applied: thread
- * count from NA_CAMPAIGN_THREADS (via Campaign::resolveThreads), an
- * optional JSON export to $NA_CAMPAIGN_JSON, and an optional JSONL
- * stream to $NA_CAMPAIGN_JSONL (unless the caller already set one).
+ * count from NA_CAMPAIGN_THREADS (via Campaign::resolveThreads) and an
+ * optional JSONL stream to $NA_CAMPAIGN_JSONL (unless the caller
+ * already set one).
  */
 inline core::ResultSet
 runCampaign(std::vector<core::CampaignPoint> points,
@@ -61,19 +60,7 @@ runCampaign(std::vector<core::CampaignPoint> points,
         if (auto path = core::env::str("NA_CAMPAIGN_JSONL"))
             options.jsonlPath = *path;
     }
-    core::ResultSet results =
-        core::Campaign::run(std::move(points), options);
-    if (auto path = core::env::str("NA_CAMPAIGN_JSON")) {
-        // Not sim::warn: benches run with setQuiet(true), and a failed
-        // export should never be silent.
-        if (!core::writeResultsJsonFile(*path, results)) {
-            std::fprintf(stderr,
-                         "warning: could not write campaign results "
-                         "to %s\n",
-                         path->c_str());
-        }
-    }
-    return results;
+    return core::Campaign::run(std::move(points), options);
 }
 
 inline const char *

@@ -9,7 +9,7 @@
  *   campaignctl run <dir> [--shards N]
  *       Spawn N worker subprocesses over the built-in demo sweep, one
  *       shard each, then merge the shard streams into
- *       <dir>/campaign_results.json.
+ *       <dir>/campaign_results.jsonl.
  *
  *   campaignctl worker --shard I/N --jsonl PATH [--resume PATH]
  *                      [--die-after K]
@@ -21,15 +21,16 @@
  *       torn state a killed process leaves behind.
  *
  *   campaignctl merge --out PATH <shard.jsonl>...
- *       Merge shard streams and write the monolithic document.
+ *       Merge shard streams and write one JSONL stream to PATH, in
+ *       submission order.
  *
  *   campaignctl selftest <dir>
  *       The tier-1 CI scenario: reference unsharded run; shard 0 runs
  *       clean; shard 1 is killed mid-write; shard 1 is resumed (only
  *       the missing points re-run, with the seeds the unsharded run
  *       used); a second resume is a no-op (nothing re-runs, nothing is
- *       re-appended); the merged document must be byte-identical to
- *       the reference. Exits nonzero on any deviation.
+ *       re-appended); the merged stream must be byte-identical to the
+ *       reference run's. Exits nonzero on any deviation.
  *
  * All modes share one deterministic built-in sweep so worker processes
  * agree on submission order (and therefore seeds and point keys)
@@ -51,7 +52,6 @@
 
 #include "src/core/campaign.hh"
 #include "src/core/env.hh"
-#include "src/core/results_json.hh"
 #include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
 #include "src/sim/logging.hh"
@@ -149,12 +149,27 @@ runCommand(const std::string &cmd)
     return WEXITSTATUS(status);
 }
 
+/** The submission-ordered JSONL bytes of @p results. */
 std::string
-documentBytes(const core::ResultSet &results)
+streamBytes(const core::ResultSet &results)
 {
     std::ostringstream os;
-    core::writeResultsJson(os, results);
+    core::writeResultsJsonl(os, results);
     return os.str();
+}
+
+/** Write @p results to @p path as one submission-ordered stream. */
+void
+writeMerged(const char *mode, const std::string &path,
+            const core::ResultSet &results)
+{
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    core::writeResultsJsonl(out, results);
+    out.close();
+    if (!out) {
+        throw std::runtime_error(sim::format(
+            "campaignctl %s: cannot write '%s'", mode, path.c_str()));
+    }
 }
 
 /** Worker mode. @return process exit code. */
@@ -206,7 +221,8 @@ workerMain(int argc, char **argv)
             // without unwinding. The resume path must repair this.
             std::ofstream out(jsonl,
                               std::ios::binary | std::ios::app);
-            out << "{\"schema\": 5, \"point_key\": \"dead";
+            out << "{\"schema\": " << core::resultsSchemaVersion
+                << ", \"point_key\": \"dead";
             out.flush();
             std::fprintf(stderr, "shard %d/%d: simulated crash\n",
                          shard_index, shard_count);
@@ -223,7 +239,7 @@ workerMain(int argc, char **argv)
     return 0;
 }
 
-/** Merge shard files into a submission-ordered monolithic document. */
+/** Merge shard files into a submission-ordered ResultSet. */
 core::ResultSet
 mergeFiles(const std::vector<std::string> &paths)
 {
@@ -258,10 +274,7 @@ mergeMain(int argc, char **argv)
                                  "--out PATH <shard.jsonl>...");
     }
     const core::ResultSet rs = mergeFiles(inputs);
-    if (!core::writeResultsJsonFile(out_path, rs)) {
-        throw std::runtime_error(sim::format(
-            "campaignctl merge: cannot write '%s'", out_path.c_str()));
-    }
+    writeMerged("merge", out_path, rs);
     std::printf("merged %zu shard file(s), %zu points -> %s\n",
                 inputs.size(), rs.size(), out_path.c_str());
     return 0;
@@ -315,12 +328,9 @@ runMain(const std::string &argv0, int argc, char **argv)
         }
     }
 
-    const std::string out = dir + "/campaign_results.json";
+    const std::string out = dir + "/campaign_results.jsonl";
     const core::ResultSet rs = mergeFiles(shard_paths);
-    if (!core::writeResultsJsonFile(out, rs)) {
-        throw std::runtime_error(sim::format(
-            "campaignctl run: cannot write '%s'", out.c_str()));
-    }
+    writeMerged("run", out, rs);
     std::printf("campaign complete: %d shard(s), %zu points -> %s\n",
                 shards, rs.size(), out.c_str());
     return 0;
@@ -355,7 +365,7 @@ selftestMain(const std::string &argv0, int argc, char **argv)
         std::fprintf(stderr, "selftest: reference run had failures\n");
         return 1;
     }
-    const std::string doc_a = documentBytes(reference);
+    const std::string doc_a = streamBytes(reference);
 
     // Shard 0 runs to completion.
     const std::string cmd0 = shellQuote(argv0) +
@@ -421,19 +431,19 @@ selftestMain(const std::string &argv0, int argc, char **argv)
     }
 
     // Merge the two shard streams and compare against the reference
-    // document, byte for byte.
+    // stream, byte for byte.
     const core::ResultSet merged = mergeFiles({shard0, shard1});
-    const std::string doc_b = documentBytes(merged);
+    const std::string doc_b = streamBytes(merged);
     if (doc_a != doc_b) {
         std::fprintf(stderr,
-                     "selftest: merged document differs from the "
+                     "selftest: merged stream differs from the "
                      "unsharded reference (%zu vs %zu bytes)\n",
                      doc_b.size(), doc_a.size());
         return 1;
     }
 
     std::printf("campaignctl selftest OK: crash + resume + merge == "
-                "unsharded run (%zu points, %zu-byte document)\n",
+                "unsharded run (%zu points, %zu-byte stream)\n",
                 merged.size(), doc_a.size());
     return 0;
 }

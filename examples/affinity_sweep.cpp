@@ -8,7 +8,6 @@
  *   ./build/examples/affinity_sweep [--rx] [--conns N] [--cpus N]
  *                                   [--size BYTES] [--loss P]
  *                                   [--threads N] [--seed S]
- *                                   [--json PATH]
  *                                   [--steering static|rss|fd]
  *                                   [--queues N]
  *                                   [--interval-stats US]
@@ -20,7 +19,8 @@
  *                                   [--shard I/N]
  *
  * --interval-stats US records per-CPU per-bin counter deltas every US
- * simulated microseconds (exported in the --json file, schema v3).
+ * simulated microseconds (exported in each --jsonl record's
+ * "intervals" block).
  * --timeline PATH writes a Chrome trace-event JSON of the first sweep
  * point (load in chrome://tracing or Perfetto).
  * The --fault-* flags configure the seeded fault injector (both
@@ -29,12 +29,13 @@
  * degraded PointFailure instead of aborting the sweep.
  *
  * --jsonl streams each completed point to PATH as a crash-safe JSONL
- * record; --resume PATH skips points already completed in a previous
- * stream (pass the same path to both to make the sweep restartable
- * in place); --shard I/N runs only this process's share of the sweep
- * (table rows owned by other shards read zero — merge the per-shard
- * streams for the full document). A progress line is printed to
- * stderr after each completed point.
+ * record (the results format, src/core/results_jsonl.hh); --resume
+ * PATH skips points already completed in a previous stream (pass the
+ * same path to both to make the sweep restartable in place); --shard
+ * I/N runs only this process's share of the sweep (table rows owned
+ * by other shards read zero — merge the per-shard streams for the
+ * full set). A progress line is printed to stderr after each
+ * completed point.
  */
 
 #include <cstdio>
@@ -44,7 +45,6 @@
 
 #include "src/analysis/table.hh"
 #include "src/core/campaign.hh"
-#include "src/core/results_json.hh"
 #include "src/core/sweep.hh"
 #include "src/sim/logging.hh"
 #include "src/sim/timeline.hh"
@@ -61,7 +61,6 @@ main(int argc, char **argv)
     cfg.ttcp().msgSize = 65536;
 
     core::Campaign::Options options;
-    const char *json_path = nullptr;
     const char *timeline_path = nullptr;
 
     for (int i = 1; i < argc; ++i) {
@@ -81,8 +80,6 @@ main(int argc, char **argv)
         } else if (!std::strcmp(argv[i], "--seed") && i + 1 < argc) {
             options.seed = static_cast<std::uint64_t>(
                 std::strtoull(argv[++i], nullptr, 10));
-        } else if (!std::strcmp(argv[i], "--json") && i + 1 < argc) {
-            json_path = argv[++i];
         } else if (!std::strcmp(argv[i], "--steering") && i + 1 < argc) {
             const char *kind = argv[++i];
             if (!std::strcmp(kind, "static")) {
@@ -145,17 +142,18 @@ main(int argc, char **argv)
             }
         } else {
             std::fprintf(stderr,
+                         "unknown flag or missing value: '%s'\n"
                          "usage: %s [--rx] [--conns N] [--cpus N] "
                          "[--size BYTES] [--loss P] [--threads N] "
-                         "[--seed S] [--json PATH] "
-                         "[--steering static|rss|fd] [--queues N] "
+                         "[--seed S] [--steering static|rss|fd] "
+                         "[--queues N] "
                          "[--interval-stats US] [--timeline PATH] "
                          "[--fault-loss P] [--fault-corrupt P] "
                          "[--fault-dup P] [--fault-reorder P] "
                          "[--fault-irq-loss P] [--retries N] "
                          "[--jsonl PATH] [--resume PATH] "
                          "[--shard I/N]\n",
-                         argv[0]);
+                         argv[i], argv[0]);
             return 2;
         }
     }
@@ -273,15 +271,6 @@ main(int argc, char **argv)
                             r.failure.ticksReached),
                         r.failure.reason.c_str());
         }
-    }
-
-    if (json_path) {
-        if (!core::writeResultsJsonFile(json_path, results)) {
-            std::fprintf(stderr, "error: could not write %s\n",
-                         json_path);
-            return 1;
-        }
-        std::printf("\nresults written to %s\n", json_path);
     }
     return results.failureCount() == 0 ? 0 : 1;
 }

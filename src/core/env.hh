@@ -3,7 +3,7 @@
  * Environment-variable lookup helpers.
  *
  * Every binary in the tree reads the same family of NA_* knobs
- * (NA_CAMPAIGN_THREADS, NA_CAMPAIGN_JSON, NA_BENCH_FAST, ...) and each
+ * (NA_CAMPAIGN_THREADS, NA_CAMPAIGN_JSONL, NA_BENCH_FAST, ...) and each
  * call site used to hand-roll its own getenv + parse. This header is
  * the single implementation:
  *

@@ -33,28 +33,44 @@ Value::num(const std::string &name) const
     return v.number;
 }
 
+namespace {
+
+/**
+ * Read a number token as a plain run of digits. Casting the double
+ * instead would read -1 as 2^64-1, 1.5 as 1, and 1e30 as whatever the
+ * undefined out-of-range conversion yields.
+ */
+bool
+digitsToU64(const Value &v, std::uint64_t &out)
+{
+    if (v.kind != Value::Kind::Number || v.text.empty() ||
+        v.text.find_first_not_of("0123456789") != std::string::npos)
+        return false;
+    const char *end = v.text.data() + v.text.size();
+    const auto [ptr, ec] = std::from_chars(v.text.data(), end, out);
+    return ec == std::errc() && ptr == end;
+}
+
+} // namespace
+
 std::uint64_t
 Value::u64(const std::string &name) const
 {
-    const Value &v = field(name);
-    if (v.kind != Kind::Number)
+    std::uint64_t out = 0;
+    if (!digitsToU64(field(name), out))
         throw std::runtime_error("json: field '" + name +
-                                 "' is not a number");
-    return v.asU64();
+                                 "' is not an unsigned 64-bit integer");
+    return out;
 }
 
 std::uint64_t
 Value::asU64() const
 {
-    if (!text.empty() &&
-        text.find_first_not_of("0123456789") == std::string::npos) {
-        std::uint64_t out = 0;
-        const auto [ptr, ec] =
-            std::from_chars(text.data(), text.data() + text.size(), out);
-        if (ec == std::errc() && ptr == text.data() + text.size())
-            return out;
-    }
-    return static_cast<std::uint64_t>(number);
+    std::uint64_t out = 0;
+    if (!digitsToU64(*this, out))
+        throw std::runtime_error("json: '" + text +
+                                 "' is not an unsigned 64-bit integer");
+    return out;
 }
 
 const std::string &
@@ -68,6 +84,14 @@ Value::str(const std::string &name) const
 }
 
 namespace {
+
+/**
+ * Deepest array/object nesting parse() accepts. A results line nests
+ * six levels (line, result, intervals, windows, window, deltas); the
+ * cap turns a hostile "[[[[..." line into an error instead of a stack
+ * overflow in the recursive descent.
+ */
+constexpr int maxDepth = 64;
 
 class Parser
 {
@@ -87,6 +111,7 @@ class Parser
   private:
     const std::string &src;
     std::size_t pos = 0;
+    int depth = 0;
 
     [[noreturn]] void
     fail(const std::string &why) const
@@ -136,10 +161,14 @@ class Parser
     parseValue()
     {
         const char c = peek();
-        if (c == '{')
-            return parseObject();
-        if (c == '[')
-            return parseArray();
+        if (c == '{' || c == '[') {
+            if (++depth > maxDepth)
+                fail(sim::format("nesting deeper than %d levels",
+                                 maxDepth));
+            Value v = c == '{' ? parseObject() : parseArray();
+            --depth;
+            return v;
+        }
         if (c == '"') {
             Value v;
             v.kind = Value::Kind::String;
@@ -263,9 +292,13 @@ class Parser
             return v;
         }
         while (true) {
-            const std::string key = parseString();
+            const std::size_t key_pos = pos;
+            std::string key = parseString();
             expect(':');
-            v.fields.emplace(key, parseValue());
+            if (!v.fields.emplace(key, parseValue()).second) {
+                pos = key_pos;
+                fail("duplicate key '" + key + "'");
+            }
             const char c = peek();
             ++pos;
             if (c == '}')

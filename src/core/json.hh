@@ -2,12 +2,12 @@
  * @file
  * Minimal reusable JSON value + recursive-descent parser.
  *
- * Grown out of results_json.cc so that other emitters (the Chrome
- * trace-event timeline, the interval-stats exports) and their
- * validation tests can parse what they write without a third-party
- * dependency. Numbers are parsed with std::from_chars, never strtod or
- * std::stod: those honour LC_NUMERIC, and under a comma-decimal locale
- * "3.14" silently truncates to 3.
+ * Backs the results JSONL reader, and lets other emitters (the
+ * Chrome trace-event timeline) and their validation tests parse what
+ * they write without a third-party dependency. Numbers are parsed
+ * with std::from_chars, never strtod or std::stod: those honour
+ * LC_NUMERIC, and under a comma-decimal locale "3.14" silently
+ * truncates to 3.
  */
 
 #ifndef NETAFFINITY_CORE_JSON_HH
@@ -56,16 +56,22 @@ struct Value
      * @return unsigned field @p name, re-parsed from the raw token:
      *         doubles hold only 53 mantissa bits, not enough for
      *         64-bit seeds and counters.
+     * @throws std::runtime_error when absent, or when the token is not
+     *         a plain run of digits that fits 64 bits (negative,
+     *         fractional, exponent, or too large).
      */
     std::uint64_t u64(const std::string &name) const;
 
-    /** This value's own 64-bit unsigned interpretation. */
+    /** This value's own 64-bit unsigned interpretation (same rules
+     *  and throws as u64()). */
     std::uint64_t asU64() const;
 };
 
 /**
  * Parse a complete JSON document.
- * @throws std::runtime_error (with byte offset) on malformed input.
+ * @throws std::runtime_error (with byte offset) on malformed input,
+ *         on an object that repeats a key, and on arrays/objects
+ *         nested more than 64 deep.
  */
 Value parse(const std::string &text);
 

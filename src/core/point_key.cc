@@ -31,7 +31,7 @@ hashCanonicalText(const std::string &text)
         h ^= c;
         h *= 0x100000001b3ULL;
     }
-    // Zero is reserved as "no key" (converted monolithic records).
+    // Zero is reserved as "no key": a zero-key record matches no point.
     return h ? h : 0x100000001b3ULL;
 }
 

@@ -1,24 +1,80 @@
 /**
  * @file
- * Streaming campaign results: one self-contained JSON record per line.
+ * Campaign results on disk: one self-contained JSON record per line.
  *
- * The monolithic results document (results_json.hh) is written once,
- * at the end, by whoever holds the whole ResultSet — a crashed
- * overnight sweep loses everything and nothing is inspectable until
- * the last point finishes. The JSONL stream is the production-scale
- * alternative:
+ * This is the only results format. A campaign appends and flushes one
+ * record per completed point (Campaign::Options::jsonlPath), so a
+ * crashed overnight sweep keeps everything it finished and is
+ * inspectable while it runs; writeResultsJsonl() writes a whole
+ * ResultSet the same way, in submission order. Every line is
  *
- *   {"schema": 5, "point_key": "<16 hex>", "label": "...",
- *    "config": {...}, "result": {...}}\n
+ *   {"schema": 6, "point_key": "<16 hex>",
+ *    "label": "TX 65536B Full Aff",
+ *    "config": {
+ *      "workload": "ttcp" | "mix",
+ *      "mode": "tx" | "rx" | "-",    // "-" for non-ttcp points
+ *      "msg_size": 65536,            // 0 for non-ttcp points
+ *      "affinity": "none" | "irq" | "proc" | "full",
+ *      "connections": 8, "cpus": 2, "seed": 1234567,
+ *      "steering": "static" | "rss" | "flow_director",
+ *      "queues": 1,
+ *      "faults": "off" | <FaultPlan label>
+ *    },
+ *    "result": {
+ *      "seconds": 0.05, "payload_bytes": 123456,
+ *      "throughput_mbps": 1975.3, "cpu_util": 0.98,
+ *      "ghz_per_gbps": 1.42, "util_per_cpu": [0.99, 0.97],
+ *      "irqs": 1000, "ipis": 12,
+ *      "migrations": 3, "context_switches": 450,
+ *      "tx_drops_ring_full": 0, "rx_drops_ring_full": 0,
+ *      "rx_frames_per_queue": [9000, 8800],
+ *      "failure": {              // only for degraded points
+ *        "reason": "...full untruncated message...",
+ *        "config_summary": "TX 4096B ...",
+ *        "ticks_reached": 4000000, "attempts": 2
+ *      },
+ *      "flows": {                // only for mix-workload points
+ *        "started": 10000, "completed": 10000,
+ *        "accepted": 10000, "retired": 10000,
+ *        "accept_drops_backlog": 0, "accept_drops_pool": 0,
+ *        "unmatched_frames": 0, "deferred_arrivals": 120,
+ *        "flow_migrations": 5, "flow_learns": 9000,
+ *        "flow_learn_drops": 0,
+ *        "ooo_arrivals": 3, "live_connections": 0,
+ *        "size_buckets": [
+ *          {"max_bytes": 4095, "flows": 12, "bytes": 40000}, ...
+ *        ]
+ *      },
+ *      "reorder": {              // only when reordering occurred
+ *        "ooo_arrivals": 3, "ooo_windows": 2,
+ *        "ooo_window_ticks": 81000,
+ *        "ooo_depth_hist": [3, 0, 0, 0, 0, 0, 0, 0],
+ *        "dup_ack_bursts": 2, "retransmits": 1,
+ *        "spurious_retransmits": 1, "sender_hops": 40
+ *      },
+ *      "intervals": {            // only when interval stats ran
+ *        "interval_ticks": 200000,
+ *        "num_cpus": 2, "num_queues": 1,
+ *        "windows": [
+ *          {"start": 0, "end": 200000,
+ *           "rx_frames_per_queue": [312],
+ *           "deltas": [ ...cpu-major bin/event flat matrix... ]},
+ *          ...
+ *        ]
+ *      },
+ *      "event_totals": { "cycles": ..., "instructions": ..., ... }
+ *    }}
  *
- * per completed point, appended and flushed as each point finishes.
- * The config/result blocks are byte-for-byte the v2-v5 record the
- * monolithic document carries, so the schema version ladder is shared
- * (the "schema" token per line) and conversion in either direction is
- * lossless. The point_key is the canonical config hash
- * (point_key.hh): resume matches records to points by key, shard
- * merges reassemble a ResultSet by key, and a key of all zeros means
- * "unknown" (records converted from a monolithic document).
+ * (shown wrapped; each record is one line). The reader accepts only
+ * the current schema token: every field above without a "only ..."
+ * note is required. Doubles are printed with std::to_chars (shortest
+ * round-trip form) and parsed with std::from_chars, so values survive
+ * a write/read round trip bit-exactly regardless of the process
+ * locale; integers must be non-negative whole numbers in range.
+ *
+ * The point_key is the canonical config hash (point_key.hh): resume
+ * matches records to points by key and shard merges reassemble a
+ * ResultSet by key. A key of all zeros matches no point.
  *
  * Crash safety: an interrupted writer leaves at most one partial
  * final line. The reader tolerates exactly that — an unterminated,
@@ -39,19 +95,40 @@
 #include <vector>
 
 #include "src/core/campaign.hh"
-#include "src/core/results_json.hh"
 
 namespace na::core {
+
+/** Current results schema version: the "schema" token of every line. */
+constexpr int resultsSchemaVersion = 6;
+
+/** The label/config/result payload of one parsed record. */
+struct JsonRunRecord
+{
+    std::string label;
+    /** Workload kind token ("ttcp", "mix"). */
+    std::string workload;
+    /** ttcp direction; meaningless when workload != "ttcp". */
+    workload::TtcpMode mode = workload::TtcpMode::Transmit;
+    std::uint32_t msgSize = 0;
+    AffinityMode affinity = AffinityMode::None;
+    int connections = 0;
+    int cpus = 0;
+    std::uint64_t seed = 0;
+    /** Steering policy token ("static", "rss", "flow_director"). */
+    std::string steering;
+    /** RX queues per NIC the point was provisioned with. */
+    int queues = 1;
+    /** Fault-plan label ("off" when the point ran fault-free). */
+    std::string faults;
+    /** Result fields the schema carries (bins stay zeroed). */
+    RunResult result;
+};
 
 /** One parsed JSONL line. */
 struct JsonlRecord
 {
-    /** Canonical point key (0 = unknown/converted). */
+    /** Canonical point key. */
     std::uint64_t key = 0;
-    /** Per-line schema token (2-5). */
-    int schemaVersion = 0;
-    /** The label/config/result payload, as the monolithic reader
-     *  would have produced it. */
     JsonRunRecord rec;
 };
 
@@ -76,9 +153,17 @@ void writeJsonlRecord(std::ostream &os, const CampaignPoint &point,
                       const RunResult &result, std::uint64_t key);
 
 /**
+ * Serialize a whole campaign: one record per point, in submission
+ * order, keyed by Campaign::pointKeys. A sharded, resumed, and merged
+ * campaign writes the same bytes as one unsharded run.
+ */
+void writeResultsJsonl(std::ostream &os, const ResultSet &results);
+
+/**
  * Parse a JSONL stream. Unterminated unparseable tail -> dropped and
- * flagged; any other malformed line, bad point key, or unsupported
- * per-line schema token -> std::runtime_error naming the line.
+ * flagged; any other malformed line, bad point key, or schema token
+ * other than resultsSchemaVersion -> std::runtime_error naming the
+ * line.
  */
 JsonlFile readResultsJsonl(std::istream &is);
 
@@ -133,24 +218,6 @@ ResultSet assembleResultSet(std::vector<CampaignPoint> points,
                             const Campaign::Options &options,
                             const std::vector<JsonlRecord> &records,
                             int threads_used);
-
-/**
- * Converter: write records as a monolithic v5 document that
- * readResultsJson() (and every pre-JSONL consumer) accepts.
- */
-void writeMonolithicFromRecords(std::ostream &os,
-                                std::uint64_t campaign_seed,
-                                int threads,
-                                const std::vector<JsonlRecord> &records);
-
-/**
- * Converter: explode a parsed monolithic document into JSONL records.
- * Keys are 0 (the document does not store them); rekey by matching
- * labels against a rebuilt point list if resume-compatibility is
- * needed.
- */
-std::vector<JsonlRecord>
-recordsFromMonolithic(const JsonCampaign &campaign);
 
 } // namespace na::core
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Campaign engine: parallel determinism, submission-order collection,
- * sweep construction, the JSON results round trip, and repeat-run
+ * sweep construction, the JSONL results round trip, and repeat-run
  * determinism of single runs across steering x faults x workload.
  */
 
@@ -12,7 +12,6 @@
 #include <sstream>
 
 #include "src/core/campaign.hh"
-#include "src/core/results_json.hh"
 #include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
 #include "src/core/system.hh"
@@ -217,17 +216,22 @@ TEST(ResultsJson, RoundTripsThroughputUtilAndCounters)
     const core::ResultSet rs = core::Campaign::run(tinyPoints(), opts);
 
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
+    core::writeResultsJsonl(ss, rs);
 
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    EXPECT_EQ(parsed.campaignSeed, 123u);
-    EXPECT_EQ(parsed.threads, 2);
-    ASSERT_EQ(parsed.points.size(), rs.size());
+    const core::JsonlFile parsed = core::readResultsJsonl(ss);
+    ASSERT_EQ(parsed.records.size(), rs.size());
+    std::vector<core::CampaignPoint> points;
+    for (std::size_t i = 0; i < rs.size(); ++i)
+        points.push_back(rs.point(i));
+    const std::vector<std::uint64_t> keys =
+        core::Campaign::pointKeys(points);
 
     for (std::size_t i = 0; i < rs.size(); ++i) {
-        const core::JsonRunRecord &rec = parsed.points[i];
+        const core::JsonRunRecord &rec = parsed.records[i].rec;
         const core::CampaignPoint &p = rs.point(i);
         const core::RunResult &r = rs.result(i);
+
+        EXPECT_EQ(parsed.records[i].key, keys[i]);
 
         EXPECT_EQ(rec.label, p.label);
         EXPECT_EQ(rec.mode, p.config.ttcp().mode);
@@ -288,11 +292,11 @@ TEST(ResultsJson, RoundTripsSteeringPolicyAndQueueCounters)
     const core::ResultSet rs = core::Campaign::run(points, opts);
 
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
+    core::writeResultsJsonl(ss, rs);
+    const core::JsonlFile parsed = core::readResultsJsonl(ss);
 
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const core::JsonRunRecord &rec = parsed.points[0];
+    ASSERT_EQ(parsed.records.size(), 1u);
+    const core::JsonRunRecord &rec = parsed.records[0].rec;
     EXPECT_EQ(rec.steering, "rss");
     EXPECT_EQ(rec.queues, 2);
     ASSERT_EQ(rec.result.rxFramesPerQueue.size(), 2u);
@@ -329,8 +333,8 @@ TEST(SweepBuilder, SteeringAxisLabelsNonDefaultPolicies)
 
 TEST(ResultsJson, RoundTripsIntervalSeries)
 {
-    // One point with interval stats armed: the v3 "intervals" block
-    // must survive the write/read cycle window for window.
+    // One point with interval stats armed: the optional "intervals"
+    // block must survive the write/read cycle window for window.
     core::SystemConfig base;
     base.numConnections = 2;
     base.statsIntervalUs = 500.0;
@@ -351,10 +355,11 @@ TEST(ResultsJson, RoundTripsIntervalSeries)
     ASSERT_FALSE(orig.empty());
 
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const prof::IntervalSeries &got = parsed.points[0].result.intervals;
+    core::writeResultsJsonl(ss, rs);
+    const core::JsonlFile parsed = core::readResultsJsonl(ss);
+    ASSERT_EQ(parsed.records.size(), 1u);
+    const prof::IntervalSeries &got =
+        parsed.records[0].rec.result.intervals;
 
     EXPECT_EQ(got.intervalTicks, orig.intervalTicks);
     EXPECT_EQ(got.numCpus, orig.numCpus);
@@ -368,12 +373,16 @@ TEST(ResultsJson, RoundTripsIntervalSeries)
                   orig.windows[w].rxFramesPerQueue);
     }
 
-    // A v2 document (no intervals block) still parses, with an empty
-    // series.
-    std::stringstream v2(
-        "{\"schema_version\": 2, \"campaign_seed\": 1, \"threads\": 1, "
-        "\"points\": []}");
-    EXPECT_EQ(core::readResultsJson(v2).points.size(), 0u);
+    // A point that ran without interval stats carries no block and
+    // reads back with an empty series.
+    core::RunResult plain = rs.result(0);
+    plain.intervals = {};
+    std::stringstream without;
+    core::writeJsonlRecord(without, rs.point(0), plain, 1);
+    EXPECT_EQ(without.str().find("\"intervals\""), std::string::npos);
+    EXPECT_TRUE(core::readResultsJsonl(without)
+                    .records.at(0)
+                    .rec.result.intervals.empty());
 }
 
 TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
@@ -397,19 +406,19 @@ TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
     const core::ResultSet rs = core::Campaign::run(points, opts);
 
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    core::JsonCampaign parsed;
+    core::writeResultsJsonl(ss, rs);
+    core::JsonlFile parsed;
     try {
-        parsed = core::readResultsJson(ss);
+        parsed = core::readResultsJsonl(ss);
     } catch (...) {
         std::setlocale(LC_NUMERIC, saved.c_str());
         throw;
     }
     std::setlocale(LC_NUMERIC, saved.c_str());
 
-    ASSERT_EQ(parsed.points.size(), 1u);
+    ASSERT_EQ(parsed.records.size(), 1u);
     const core::RunResult &r = rs.result(0);
-    const core::RunResult &got = parsed.points[0].result;
+    const core::RunResult &got = parsed.records[0].rec.result;
     EXPECT_EQ(got.seconds, r.seconds);
     EXPECT_EQ(got.throughputMbps, r.throughputMbps);
     EXPECT_EQ(got.cpuUtil, r.cpuUtil);
@@ -419,13 +428,23 @@ TEST(ResultsJson, RoundTripSurvivesCommaDecimalLocale)
 
 TEST(ResultsJson, RejectsMalformedInput)
 {
-    std::stringstream notJson("this is not json");
-    EXPECT_THROW(core::readResultsJson(notJson), std::runtime_error);
+    std::stringstream notJson("this is not json\n");
+    EXPECT_THROW(core::readResultsJsonl(notJson), std::runtime_error);
 
-    std::stringstream wrongVersion(
-        "{\"schema_version\": 99, \"campaign_seed\": 0, \"threads\": 1, "
-        "\"points\": []}");
-    EXPECT_THROW(core::readResultsJson(wrongVersion), std::runtime_error);
+    // A well-formed line from an unknown schema is refused, not
+    // guessed at.
+    core::Campaign::Options opts;
+    opts.numThreads = 1;
+    std::vector<core::CampaignPoint> points = tinyPoints();
+    points.resize(1);
+    std::ostringstream os;
+    core::writeResultsJsonl(os, core::Campaign::run(points, opts));
+    std::string line = os.str();
+    const std::string token =
+        "\"schema\": " + std::to_string(core::resultsSchemaVersion);
+    line.replace(line.find(token), token.size(), "\"schema\": 99");
+    std::stringstream wrongVersion(line);
+    EXPECT_THROW(core::readResultsJsonl(wrongVersion), std::runtime_error);
 }
 
 sim::FaultPlan

@@ -13,7 +13,7 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "src/core/results_json.hh"
+#include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
 #include "src/core/system.hh"
 #include "src/sim/event_queue.hh"
@@ -341,14 +341,15 @@ TEST(ResultsJsonV5, DegradedPointsRoundTripWithFaultLabel)
     ASSERT_EQ(rs.failureCount(), 1u);
 
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
-    EXPECT_NE(ss.str().find("\"schema_version\": " +
-                            std::to_string(core::resultsSchemaVersion)),
-              std::string::npos);
+    core::writeResultsJsonl(ss, rs);
+    EXPECT_EQ(ss.str().rfind("{\"schema\": " +
+                             std::to_string(core::resultsSchemaVersion),
+                             0),
+              0u);
 
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 1u);
-    const core::JsonRunRecord &rec = parsed.points[0];
+    const core::JsonlFile parsed = core::readResultsJsonl(ss);
+    ASSERT_EQ(parsed.records.size(), 1u);
+    const core::JsonRunRecord &rec = parsed.records[0].rec;
     EXPECT_EQ(rec.faults, "blackhole");
     EXPECT_TRUE(rec.result.failed);
     EXPECT_EQ(rec.result.failure.reason, rs.result(0).failure.reason);

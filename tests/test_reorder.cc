@@ -31,7 +31,7 @@
 #include <vector>
 
 #include "src/core/experiment.hh"
-#include "src/core/results_json.hh"
+#include "src/core/results_jsonl.hh"
 #include "src/core/system.hh"
 #include "src/net/driver.hh"
 #include "src/net/nic.hh"
@@ -524,16 +524,16 @@ TEST(ReorderResults, ReorderBlockRoundTripsThroughJson)
     const core::ResultSet rs({withReorder, quiet},
                              {r, core::RunResult{}});
     std::stringstream ss;
-    core::writeResultsJson(ss, rs);
+    core::writeResultsJsonl(ss, rs);
     const std::string text = ss.str();
     // Exactly one point carries the optional block.
     EXPECT_EQ(text.find("\"reorder\""), text.rfind("\"reorder\""));
     EXPECT_NE(text.find("\"reorder\""), std::string::npos);
     EXPECT_NE(text.find("\"flow_learn_drops\""), std::string::npos);
 
-    const core::JsonCampaign parsed = core::readResultsJson(ss);
-    ASSERT_EQ(parsed.points.size(), 2u);
-    const core::ReorderStats &ro = parsed.points[0].result.reorder;
+    const core::JsonlFile parsed = core::readResultsJsonl(ss);
+    ASSERT_EQ(parsed.records.size(), 2u);
+    const core::ReorderStats &ro = parsed.records[0].rec.result.reorder;
     EXPECT_EQ(ro.oooArrivals, 7u);
     EXPECT_EQ(ro.oooWindows, 2u);
     EXPECT_EQ(ro.oooWindowTicks, 81'000u);
@@ -543,8 +543,8 @@ TEST(ReorderResults, ReorderBlockRoundTripsThroughJson)
     EXPECT_EQ(ro.retransmits, 3u);
     EXPECT_EQ(ro.spuriousRetransmits, 2u);
     EXPECT_EQ(ro.senderHops, 40u);
-    EXPECT_EQ(parsed.points[0].result.flows.flowLearnDrops, 3u);
-    EXPECT_FALSE(parsed.points[1].result.reorder.any());
+    EXPECT_EQ(parsed.records[0].rec.result.flows.flowLearnDrops, 3u);
+    EXPECT_FALSE(parsed.records[1].rec.result.reorder.any());
 }
 
 } // namespace

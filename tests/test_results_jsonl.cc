@@ -1,19 +1,21 @@
 /**
  * @file
- * Streaming JSONL results: campaign streaming, the shared v2-v5
- * record ladder, crash tolerance, resume semantics, and shard merge
- * byte-identity with an unsharded run.
+ * JSONL results: campaign streaming, the current-schema-only reader
+ * (strict integers, required fields), crash tolerance, resume
+ * semantics, shard merge byte-identity with an unsharded run, and a
+ * seeded mutation fuzz of every on-disk reader.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
+#include <random>
 #include <sstream>
 
 #include "src/core/campaign.hh"
+#include "src/core/json.hh"
 #include "src/core/point_key.hh"
-#include "src/core/results_json.hh"
 #include "src/core/results_jsonl.hh"
 #include "src/core/sweep.hh"
 
@@ -61,25 +63,61 @@ class TempPath
 };
 
 std::string
-documentBytes(const core::ResultSet &rs)
+streamBytes(const core::ResultSet &rs)
 {
     std::ostringstream os;
-    core::writeResultsJson(os, rs);
+    core::writeResultsJsonl(os, rs);
     return os.str();
 }
 
-/** A complete minimal record body shared by the ladder tests. */
+/** A complete minimal record body shared by the reader tests. */
 const char *const recordBody =
-    "\"label\": \"L\", \"config\": {\"mode\": \"tx\", "
-    "\"msg_size\": 1024, \"affinity\": \"full\", "
+    "\"label\": \"L\", \"config\": {\"workload\": \"ttcp\", "
+    "\"mode\": \"tx\", \"msg_size\": 1024, \"affinity\": \"full\", "
     "\"connections\": 2, \"cpus\": 2, \"seed\": 99, "
-    "\"steering\": \"static\", \"queues\": 1}, "
+    "\"steering\": \"static\", \"queues\": 1, \"faults\": \"off\"}, "
     "\"result\": {\"seconds\": 0.5, \"payload_bytes\": 1000, "
     "\"throughput_mbps\": 16.5, \"cpu_util\": 0.5, "
     "\"ghz_per_gbps\": 1.25, \"util_per_cpu\": [0.5, 0.5], "
     "\"irqs\": 10, \"ipis\": 2, \"migrations\": 1, "
-    "\"context_switches\": 5, \"rx_frames_per_queue\": [3], "
+    "\"context_switches\": 5, \"tx_drops_ring_full\": 0, "
+    "\"rx_drops_ring_full\": 0, \"rx_frames_per_queue\": [3], "
     "\"event_totals\": {}}";
+
+/** One line: @p body under @p schema_token and a 16-hex key. */
+std::string
+recordLine(const std::string &key_hex, const std::string &body = recordBody,
+           const std::string &schema_token =
+               std::to_string(core::resultsSchemaVersion))
+{
+    return "{\"schema\": " + schema_token + ", \"point_key\": \"" +
+           key_hex + "\", " + body + "}\n";
+}
+
+/** @p body with the first @p from replaced by @p to. */
+std::string
+withField(std::string body, const std::string &from,
+          const std::string &to)
+{
+    const std::size_t at = body.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        body.replace(at, from.size(), to);
+    return body;
+}
+
+/** readResultsJsonl() on @p text; @return the error, or "" if none. */
+std::string
+readError(const std::string &text)
+{
+    std::istringstream in(text);
+    try {
+        (void)core::readResultsJsonl(in);
+    } catch (const std::runtime_error &e) {
+        return e.what();
+    }
+    return "";
+}
 
 TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
 {
@@ -96,10 +134,8 @@ TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
         core::readResultsJsonlFile(path.str());
     EXPECT_FALSE(file.truncatedTail);
     ASSERT_EQ(file.records.size(), 2u);
-    for (const core::JsonlRecord &r : file.records) {
+    for (const core::JsonlRecord &r : file.records)
         EXPECT_NE(r.key, 0u);
-        EXPECT_EQ(r.schemaVersion, core::resultsSchemaVersion);
-    }
     EXPECT_NE(file.records[0].key, file.records[1].key);
 
     // Streamed records carry the same payload the ResultSet does
@@ -113,60 +149,14 @@ TEST(ResultsJsonl, CampaignStreamsOneRecordPerPoint)
     }
 }
 
-TEST(ResultsJsonl, MonolithicAndJsonlReadersAgreeAcrossLadder)
-{
-    // The same v2-v6 record payload must parse identically whichever
-    // container carried it (per-file schema_version vs per-line
-    // schema token).
-    for (int version = 2; version <= core::resultsSchemaVersion;
-         ++version) {
-        std::ostringstream mono;
-        mono << "{\"schema_version\": " << version
-             << ", \"campaign_seed\": 1, \"threads\": 1, "
-             << "\"points\": [{" << recordBody << "}]}";
-        std::istringstream mono_in(mono.str());
-        const core::JsonCampaign doc =
-            core::readResultsJson(mono_in);
-        ASSERT_EQ(doc.points.size(), 1u) << "version " << version;
-
-        std::ostringstream line;
-        line << "{\"schema\": " << version
-             << ", \"point_key\": \"00000000000000aa\", "
-             << recordBody << "}\n";
-        std::istringstream jsonl_in(line.str());
-        const core::JsonlFile file = core::readResultsJsonl(jsonl_in);
-        ASSERT_EQ(file.records.size(), 1u) << "version " << version;
-        EXPECT_EQ(file.records[0].schemaVersion, version);
-        EXPECT_EQ(file.records[0].key, 0xaau);
-
-        const core::JsonRunRecord &a = doc.points[0];
-        const core::JsonRunRecord &b = file.records[0].rec;
-        EXPECT_EQ(a.label, b.label);
-        EXPECT_EQ(a.workload, b.workload);
-        EXPECT_EQ(a.mode, b.mode);
-        EXPECT_EQ(a.msgSize, b.msgSize);
-        EXPECT_EQ(a.affinity, b.affinity);
-        EXPECT_EQ(a.connections, b.connections);
-        EXPECT_EQ(a.seed, b.seed);
-        EXPECT_EQ(a.result.seconds, b.result.seconds);
-        EXPECT_EQ(a.result.payloadBytes, b.result.payloadBytes);
-        EXPECT_EQ(a.result.throughputMbps, b.result.throughputMbps);
-        EXPECT_EQ(a.result.irqs, b.result.irqs);
-    }
-}
-
 TEST(ResultsJsonl, TruncatedFinalLineIsToleratedAndRepaired)
 {
     TempPath path("jsonl_torn.jsonl");
     {
         std::ofstream out(path.str(), std::ios::binary);
-        out << "{\"schema\": 5, \"point_key\": "
-               "\"0000000000000001\", "
-            << recordBody << "}\n";
-        out << "{\"schema\": 5, \"point_key\": "
-               "\"0000000000000002\", "
-            << recordBody << "}\n";
-        out << "{\"schema\": 5, \"point_"; // torn mid-write
+        out << recordLine("0000000000000001")
+            << recordLine("0000000000000002");
+        out << "{\"schema\": 6, \"point_"; // torn mid-write
     }
 
     const core::JsonlFile file =
@@ -195,38 +185,111 @@ TEST(ResultsJsonl, TruncatedFinalLineIsToleratedAndRepaired)
 
 TEST(ResultsJsonl, MalformedInteriorLineIsAHardError)
 {
-    std::ostringstream text;
-    text << "{\"schema\": 5, \"point_key\": \"0000000000000001\", "
-         << recordBody << "}\n";
-    text << "this is not json\n";
-    text << "{\"schema\": 5, \"point_key\": \"0000000000000002\", "
-         << recordBody << "}\n";
-    std::istringstream in(text.str());
-    try {
-        (void)core::readResultsJsonl(in);
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        EXPECT_NE(std::string(e.what()).find("line 2"),
-                  std::string::npos)
-            << e.what();
-    }
+    const std::string msg =
+        readError(recordLine("0000000000000001") + "this is not json\n" +
+                  recordLine("0000000000000002"));
+    EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
 }
 
 TEST(ResultsJsonl, UnsupportedSchemaTokenIsAStructuredError)
 {
-    std::ostringstream text;
-    text << "{\"schema\": 7, \"point_key\": \"0000000000000001\", "
-         << recordBody << "}\n";
-    std::istringstream in(text.str());
-    try {
-        (void)core::readResultsJsonl(in);
-        FAIL() << "expected std::runtime_error";
-    } catch (const std::runtime_error &e) {
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("unsupported schema token 7"),
+    // Only the current schema reads: older tokens (whose records lack
+    // now-required fields) and newer ones are refused on the line that
+    // carries them, even when the payload itself is complete.
+    for (const char *token : {"2", "3", "4", "5", "7", "6.0"}) {
+        const std::string msg = readError(
+            recordLine("0000000000000001") +
+            recordLine("0000000000000002", recordBody, token));
+        EXPECT_NE(msg.find(std::string("unsupported schema token ") +
+                           token),
                   std::string::npos)
             << msg;
-        EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+        EXPECT_NE(msg.find("line 2"), std::string::npos) << msg;
+    }
+    EXPECT_NE(readError(recordLine("0000000000000001", recordBody,
+                                   "\"6\"")),
+              "");
+}
+
+TEST(ResultsJsonl, CurrentSchemaFieldsAreRequired)
+{
+    // Fields older schemas lacked are mandatory now; the optional
+    // blocks (failure, flows, reorder, intervals) stay optional.
+    EXPECT_EQ(readError(recordLine("0000000000000001")), "");
+    for (const char *field :
+         {"\"workload\": \"ttcp\", ", ", \"faults\": \"off\"",
+          "\"tx_drops_ring_full\": 0, ", "\"rx_drops_ring_full\": 0, "}) {
+        const std::string msg = readError(
+            recordLine("0000000000000001", withField(recordBody, field, "")));
+        EXPECT_NE(msg.find("line 1"), std::string::npos)
+            << field << ": " << msg;
+    }
+
+    core::CampaignPoint point;
+    point.label = "mix";
+    point.config.workload = workload::FlowMixConfig{};
+    core::RunResult result;
+    result.flows.started = 4;
+    std::ostringstream os;
+    core::writeJsonlRecord(os, point, result, 1);
+    EXPECT_EQ(readError(os.str()), "");
+    const std::string msg =
+        readError(withField(os.str(), "\"flow_learn_drops\": 0, ", ""));
+    EXPECT_NE(msg.find("flow_learn_drops"), std::string::npos) << msg;
+}
+
+TEST(ResultsJsonl, OutOfRangeIntegersAreRejected)
+{
+    // A cast would read -1 as 2^64-1 (or a huge int), 1.5 as 1, and
+    // 1e30 with undefined behaviour; each must be a line-naming error.
+    const char *const bad[] = {"-1", "1e30", "1.5", "18446744073709551616"};
+    const char *const fields[] = {"\"seed\": 99", "\"irqs\": 10",
+                                  "\"cpus\": 2", "\"queues\": 1",
+                                  "\"connections\": 2",
+                                  "\"msg_size\": 1024"};
+    for (const char *field : fields) {
+        const std::string name =
+            std::string(field).substr(0, std::string(field).find(':'));
+        for (const char *tok : bad) {
+            const std::string msg = readError(
+                recordLine("0000000000000001",
+                           withField(recordBody, field,
+                                     name + ": " + tok)));
+            EXPECT_NE(msg.find("line 1"), std::string::npos)
+                << field << " = " << tok << ": " << msg;
+        }
+    }
+    // In range for u64 but not for the int/uint32 fields they fill.
+    EXPECT_NE(readError(recordLine(
+                  "0000000000000001",
+                  withField(recordBody, "\"cpus\": 2",
+                            "\"cpus\": 2147483648"))),
+              "");
+    EXPECT_NE(readError(recordLine(
+                  "0000000000000001",
+                  withField(recordBody, "\"msg_size\": 1024",
+                            "\"msg_size\": 4294967296"))),
+              "");
+    for (const char *tok : {"-1", "1e30", "1.5"}) {
+        EXPECT_NE(readError(recordLine("0000000000000001", recordBody,
+                                       tok)),
+                  "")
+            << "schema " << tok;
+    }
+
+    core::CampaignPoint point;
+    point.label = "failed";
+    core::RunResult failed;
+    failed.failed = true;
+    failed.failure.attempts = 2;
+    std::ostringstream os;
+    core::writeJsonlRecord(os, point, failed, 1);
+    EXPECT_EQ(readError(os.str()), "");
+    for (const char *tok : {"-1", "1e30", "1.5"}) {
+        EXPECT_NE(readError(withField(os.str(), "\"attempts\": 2",
+                                      std::string("\"attempts\": ") + tok)),
+                  "")
+            << "attempts " << tok;
     }
 }
 
@@ -239,19 +302,13 @@ TEST(ResultsJsonl, MissingFileThrowsInsteadOfLookingEmpty)
 
 TEST(ResultsJsonl, DuplicateKeyLastRecordWins)
 {
-    std::ostringstream text;
-    text << "{\"schema\": 5, \"point_key\": \"0000000000000001\", "
-         << recordBody << "}\n";
-    // Same key again — a resume re-ran the point; the newer record
+    // Same key twice — a resume re-ran the point; the newer record
     // supersedes.
-    std::string second(recordBody);
-    const std::string from = "\"throughput_mbps\": 16.5";
-    second.replace(second.find(from), from.size(),
-                   "\"throughput_mbps\": 99.5");
-    text << "{\"schema\": 5, \"point_key\": \"0000000000000001\", "
-         << second << "}\n";
-
-    std::istringstream in(text.str());
+    std::istringstream in(
+        recordLine("0000000000000001") +
+        recordLine("0000000000000001",
+                   withField(recordBody, "\"throughput_mbps\": 16.5",
+                             "\"throughput_mbps\": 99.5")));
     const core::JsonlFile file = core::readResultsJsonl(in);
     ASSERT_EQ(file.records.size(), 2u);
     const auto latest = file.latestByKey();
@@ -266,14 +323,8 @@ TEST(ResultsJsonl, DuplicateKeyLastRecordWins)
 
 TEST(ResultsJsonl, CrossShardDuplicateKeyThrows)
 {
-    std::istringstream a_in(
-        std::string("{\"schema\": 5, \"point_key\": "
-                    "\"0000000000000001\", ") +
-        recordBody + "}\n");
-    std::istringstream b_in(
-        std::string("{\"schema\": 5, \"point_key\": "
-                    "\"0000000000000001\", ") +
-        recordBody + "}\n");
+    std::istringstream a_in(recordLine("0000000000000001"));
+    std::istringstream b_in(recordLine("0000000000000001"));
     const core::JsonlFile a = core::readResultsJsonl(a_in);
     const core::JsonlFile b = core::readResultsJsonl(b_in);
     try {
@@ -357,13 +408,13 @@ TEST(ResultsJsonl, ResumeSkipsCompletedAndRerunsFailed)
 
     // The stream now ends with the re-run's fresh record, which
     // supersedes the failure: assembling from it reproduces the
-    // reference document byte for byte.
+    // reference stream byte for byte.
     const core::JsonlFile stream =
         core::readResultsJsonlFile(resume_path.str());
     const core::ResultSet assembled = core::assembleResultSet(
         points, opts, core::mergeShardFiles({stream}),
         reference.threadsUsed);
-    EXPECT_EQ(documentBytes(assembled), documentBytes(reference));
+    EXPECT_EQ(streamBytes(assembled), streamBytes(reference));
 }
 
 TEST(ResultsJsonl, ShardedRunsMergeByteIdenticalToUnsharded)
@@ -391,7 +442,7 @@ TEST(ResultsJsonl, ShardedRunsMergeByteIdenticalToUnsharded)
              core::readResultsJsonlFile(shard1.str())});
     const core::ResultSet assembled = core::assembleResultSet(
         points, opts, merged, reference.threadsUsed);
-    EXPECT_EQ(documentBytes(assembled), documentBytes(reference));
+    EXPECT_EQ(streamBytes(assembled), streamBytes(reference));
 }
 
 TEST(ResultsJsonl, InvalidShardOptionsThrow)
@@ -429,34 +480,11 @@ TEST(ResultsJsonl, AssembleThrowsOnMissingPoints)
     }
 }
 
-TEST(ResultsJsonl, MonolithicConvertersRoundTrip)
+TEST(ResultsJsonl, StreamedFileMatchesSubmissionOrderWriter)
 {
-    core::Campaign::Options opts;
-    opts.numThreads = 1;
-    const core::ResultSet rs = core::Campaign::run(tinyPoints(), opts);
-    const std::string doc = documentBytes(rs);
-
-    // monolithic -> records -> monolithic is byte-identical: both
-    // writers share the record emitter.
-    std::istringstream in(doc);
-    const core::JsonCampaign parsed = core::readResultsJson(in);
-    const std::vector<core::JsonlRecord> records =
-        core::recordsFromMonolithic(parsed);
-    ASSERT_EQ(records.size(), rs.size());
-    for (const core::JsonlRecord &r : records)
-        EXPECT_EQ(r.key, 0u) << "converted records carry no key";
-
-    std::ostringstream out;
-    core::writeMonolithicFromRecords(out, parsed.campaignSeed,
-                                     parsed.threads, records);
-    EXPECT_EQ(out.str(), doc);
-}
-
-TEST(ResultsJsonl, JsonlStreamedDocumentMatchesMonolithic)
-{
-    // End to end: stream a campaign to JSONL, rebuild the monolithic
-    // document from the stream alone, compare with the document the
-    // ResultSet writes directly.
+    // End to end: a serial campaign's stream is byte-identical to the
+    // submission-order writer, and so is the ResultSet reassembled
+    // from the stream alone.
     std::vector<core::CampaignPoint> points = tinyPoints();
     TempPath path("jsonl_roundtrip.jsonl");
     core::Campaign::Options opts;
@@ -464,11 +492,185 @@ TEST(ResultsJsonl, JsonlStreamedDocumentMatchesMonolithic)
     opts.jsonlPath = path.str();
     const core::ResultSet rs = core::Campaign::run(points, opts);
 
+    std::ifstream in(path.str(), std::ios::binary);
+    std::ostringstream raw;
+    raw << in.rdbuf();
+    EXPECT_EQ(raw.str(), streamBytes(rs));
+
     const core::JsonlFile file =
         core::readResultsJsonlFile(path.str());
     const core::ResultSet assembled = core::assembleResultSet(
         points, opts, core::mergeShardFiles({file}), rs.threadsUsed);
-    EXPECT_EQ(documentBytes(assembled), documentBytes(rs));
+    EXPECT_EQ(streamBytes(assembled), streamBytes(rs));
+}
+
+/**
+ * A real stream whose records exercise every optional block: a ttcp
+ * point with interval stats, then the same result degraded (failure),
+ * as a mix point (flows), and with reordering (reorder).
+ */
+std::string
+fuzzSeedStream()
+{
+    core::SystemConfig base;
+    base.numConnections = 2;
+    base.statsIntervalUs = 1000.0;
+    std::vector<core::CampaignPoint> points =
+        core::SweepBuilder()
+            .base(base)
+            .schedule(tinySchedule())
+            .size(1024)
+            .affinity(core::AffinityMode::Full)
+            .build();
+    core::Campaign::Options opts;
+    opts.numThreads = 1;
+    const core::ResultSet rs = core::Campaign::run(points, opts);
+    const core::RunResult &measured = rs.result(0);
+    EXPECT_FALSE(measured.intervals.empty());
+
+    core::RunResult failed = measured;
+    failed.failed = true;
+    failed.failure.reason = "stalled: \"no progress\"\n";
+    failed.failure.configSummary = "TX 1024B";
+    failed.failure.ticksReached = 4'000'000;
+    failed.failure.attempts = 2;
+
+    core::CampaignPoint mix;
+    mix.label = "mix point";
+    mix.config.workload = workload::FlowMixConfig{};
+    core::RunResult flows = measured;
+    flows.flows.started = 40;
+    flows.flows.completed = 38;
+    flows.flows.flowLearnDrops = 1;
+    flows.flows.sizeBuckets = {{4095, 12, 40000}, {65535, 26, 900000}};
+
+    core::RunResult reordered = measured;
+    reordered.reorder.oooArrivals = 7;
+    reordered.reorder.oooDepthHist = {4, 2, 1, 0, 0, 0, 0, 0};
+    reordered.reorder.spuriousRetransmits = 2;
+
+    std::ostringstream os;
+    core::writeJsonlRecord(os, rs.point(0), measured, 0x11);
+    core::writeJsonlRecord(os, rs.point(0), failed, 0x22);
+    core::writeJsonlRecord(os, mix, flows, 0x33);
+    core::writeJsonlRecord(os, rs.point(0), reordered, 0x44);
+    return os.str();
+}
+
+/** Run @p f; a std::runtime_error is an accepted outcome. */
+template <typename F>
+void
+returnsOrThrows(F f)
+{
+    try {
+        f();
+    } catch (const std::runtime_error &) {
+    }
+}
+
+/** @return true when @p f throws std::runtime_error. */
+template <typename F>
+bool
+throwsRuntimeError(F f)
+{
+    try {
+        f();
+    } catch (const std::runtime_error &) {
+        return true;
+    }
+    return false;
+}
+
+TEST(ResultsJsonlFuzz, HostileInputThrowsAndNeverCrashes)
+{
+    const std::string seed = fuzzSeedStream();
+    {
+        std::istringstream in(seed);
+        const core::JsonlFile file = core::readResultsJsonl(in);
+        ASSERT_EQ(file.records.size(), 4u);
+        EXPECT_TRUE(file.records[1].rec.result.failed);
+        EXPECT_EQ(file.records[2].rec.result.flows.flowLearnDrops, 1u);
+        EXPECT_EQ(file.records[3].rec.result.reorder.oooArrivals, 7u);
+        EXPECT_FALSE(file.records[0].rec.result.intervals.empty());
+    }
+
+    // Field names that occur in the seed, for duplicated-key mutants.
+    std::vector<std::string> names;
+    for (std::size_t at = seed.find("\": "); at != std::string::npos;
+         at = seed.find("\": ", at + 1)) {
+        const std::size_t open = seed.rfind('"', at - 1);
+        names.push_back(seed.substr(open, at + 3 - open));
+    }
+    ASSERT_FALSE(names.empty());
+
+    std::mt19937_64 rng(0x5eed'f00dULL);
+    auto pick = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    auto feed = [](const std::string &text) {
+        returnsOrThrows([&] { (void)core::json::parse(text); });
+        std::istringstream in(text);
+        returnsOrThrows([&] { (void)core::readResultsJsonl(in); });
+        std::istringstream lines(text);
+        for (std::string line; std::getline(lines, line);) {
+            returnsOrThrows([&] { (void)core::json::parse(line); });
+            const std::size_t key = line.find("\"point_key\": \"");
+            if (key != std::string::npos) {
+                returnsOrThrows([&] {
+                    (void)core::parsePointKey(line.substr(key + 14, 16));
+                });
+            }
+        }
+    };
+
+    for (int iter = 0; iter < 1500; ++iter) {
+        std::string text = seed;
+        switch (iter % 4) {
+          case 0: // truncation, with or without a final newline
+            text.resize(pick(text.size()));
+            if (rng() & 1)
+                text += '\n';
+            break;
+          case 1: // byte flips
+            for (std::size_t n = 1 + pick(8); n > 0; --n)
+                text[pick(text.size())] = static_cast<char>(rng());
+            break;
+          case 2: { // a duplicated key: every reader must refuse it
+            const std::string &name = names[pick(names.size())];
+            const std::size_t at = text.find(name);
+            text.insert(at, name + "0, ");
+            EXPECT_TRUE(throwsRuntimeError([&] {
+                std::istringstream in(text + "\n");
+                (void)core::readResultsJsonl(in);
+            })) << "duplicated " << name;
+            break;
+          }
+          case 3: { // deep nesting spliced into the first record
+            const std::size_t depth = 60 + pick(200'000);
+            text.insert(1, "\"deep\": " + std::string(depth, '[') +
+                               std::string(depth, ']') + ", ");
+            const std::string first = text.substr(0, text.find('\n'));
+            if (depth > 64) {
+                EXPECT_TRUE(throwsRuntimeError(
+                    [&] { (void)core::json::parse(first); }))
+                    << "depth " << depth;
+            } else {
+                EXPECT_NO_THROW((void)core::json::parse(first));
+            }
+            break;
+          }
+        }
+        feed(text);
+    }
+
+    // Random bytes for the point-key parser, including the lengths
+    // around the 16-digit form.
+    for (int iter = 0; iter < 2000; ++iter) {
+        std::string key(pick(20), '\0');
+        for (char &c : key)
+            c = static_cast<char>(rng());
+        returnsOrThrows([&] { (void)core::parsePointKey(key); });
+    }
 }
 
 } // namespace

@@ -236,4 +236,57 @@ TEST(Json, RejectsMalformedDocuments)
     EXPECT_THROW(v.field("missing"), std::runtime_error);
 }
 
+TEST(Json, DeepNestingThrowsInsteadOfOverflowingTheStack)
+{
+    // Two million '[' used to recurse until the stack ran out.
+    EXPECT_THROW(core::json::parse(std::string(2'000'000, '[')),
+                 std::runtime_error);
+    auto nested = [](int depth) {
+        std::string text;
+        for (int i = 0; i < depth; ++i)
+            text += i % 2 ? "[" : "{\"k\": ";
+        text += "0";
+        for (int i = depth - 1; i >= 0; --i)
+            text += i % 2 ? "]" : "}";
+        return text;
+    };
+    EXPECT_NO_THROW(core::json::parse(nested(64)));
+    try {
+        core::json::parse(nested(65));
+        FAIL() << "65 levels parsed";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("nesting"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
+TEST(Json, DuplicateObjectKeyIsAnError)
+{
+    // Keeping either copy silently would let a corrupted record read
+    // as a valid one.
+    EXPECT_THROW(core::json::parse("{\"a\": 1, \"a\": 2}"),
+                 std::runtime_error);
+    EXPECT_THROW(core::json::parse("[{\"o\": {\"b\": 1, \"b\": 1}}]"),
+                 std::runtime_error);
+    EXPECT_NO_THROW(core::json::parse("{\"a\": {\"a\": 1}, \"b\": 2}"));
+}
+
+TEST(Json, U64RejectsNegativeFractionalAndOutOfRange)
+{
+    // The old fallback cast the double: -1 read as 2^64-1, 1e30 hit
+    // undefined behaviour, 1.5 read as 1.
+    for (const char *tok : {"-1", "1e30", "1.5", "1e3", "-0",
+                            "18446744073709551616"}) {
+        const core::json::Value v =
+            core::json::parse(std::string("{\"n\": ") + tok + "}");
+        EXPECT_THROW(v.u64("n"), std::runtime_error) << tok;
+        EXPECT_THROW(v.field("n").asU64(), std::runtime_error) << tok;
+    }
+    const core::json::Value max =
+        core::json::parse("{\"n\": 18446744073709551615, \"s\": \"1\"}");
+    EXPECT_EQ(max.u64("n"), 18446744073709551615ull);
+    EXPECT_THROW(max.u64("s"), std::runtime_error);
+}
+
 } // namespace
