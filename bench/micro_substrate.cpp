@@ -87,9 +87,37 @@ BM_CacheFindOrInsert(benchmark::State &state)
 BENCHMARK(BM_CacheFindOrInsert);
 
 /**
+ * Lookups against the default L3 geometry (2 MiB, 8-way) warmed with a
+ * simulated footprint of state.range(0) bytes. At the full 2 MiB the
+ * model's set table is larger than the host's L1, so this measures
+ * what one simulated line probe costs once its metadata has to come
+ * from the host's L2: the cost the payload copies pay per line.
+ */
+void
+BM_CacheLookupL3Geometry(benchmark::State &state)
+{
+    stats::Group root(nullptr, "");
+    const mem::CacheGeometry geom;
+    mem::Cache c(&root, "l3", geom.l3Size, geom.l3Assoc, geom.lineBytes);
+    const auto footprint = static_cast<std::uint64_t>(state.range(0));
+    for (sim::Addr a = 0; a < footprint; a += geom.lineBytes)
+        c.insert(a, mem::LineState::Shared);
+    sim::Random rng(7);
+    std::uint64_t found = 0;
+    for (auto _ : state) {
+        // Footprints are powers of two: a mask keeps a divide out of
+        // the measured loop.
+        const sim::Addr addr = rng.next() & (footprint - 1) & ~63ULL;
+        found += static_cast<std::uint64_t>(c.lookup(addr));
+    }
+    benchmark::DoNotOptimize(found);
+}
+BENCHMARK(BM_CacheLookupL3Geometry)->Arg(16 << 10)->Arg(2 << 20);
+
+/**
  * Remote-write snoops against a hierarchy whose caches mostly do NOT
  * hold the line — the dominant coherence pattern in the paper sweeps.
- * Exercises the inclusion short-circuit and the presence filter.
+ * Exercises the inclusion short-circuit and one L3 set walk per snoop.
  */
 void
 BM_SnoopInvalidateAbsent(benchmark::State &state)

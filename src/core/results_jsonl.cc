@@ -219,8 +219,13 @@ readReorder(const Value &rv)
     if (!hist.isArray())
         throw std::runtime_error(
             "results jsonl: reorder 'ooo_depth_hist' is not a list");
-    for (std::size_t b = 0;
-         b < hist.items.size() && b < ro.oooDepthHist.size(); ++b)
+    if (hist.items.size() != ro.oooDepthHist.size()) {
+        throw std::runtime_error(sim::format(
+            "results jsonl: reorder 'ooo_depth_hist' must have %zu "
+            "buckets, got %zu",
+            ro.oooDepthHist.size(), hist.items.size()));
+    }
+    for (std::size_t b = 0; b < hist.items.size(); ++b)
         ro.oooDepthHist[b] = hist.items[b].asU64();
     ro.dupAckBursts = rv.u64("dup_ack_bursts");
     ro.retransmits = rv.u64("retransmits");
@@ -346,9 +351,20 @@ parsePointRecord(const Value &pv)
     rec.result.cpuUtil = res.num("cpu_util");
     rec.result.ghzPerGbps = res.num("ghz_per_gbps");
     const Value &util = res.field("util_per_cpu");
-    for (std::size_t c = 0;
-         c < util.items.size() && c < rec.result.utilPerCpu.size();
-         ++c) {
+    if (!util.isArray() ||
+        util.items.size() != static_cast<std::size_t>(rec.cpus) ||
+        util.items.size() > rec.result.utilPerCpu.size()) {
+        throw std::runtime_error(sim::format(
+            "results jsonl: 'util_per_cpu' must list one value per CPU "
+            "(cpus = %d), got %zu",
+            rec.cpus, util.isArray() ? util.items.size() : 0));
+    }
+    for (std::size_t c = 0; c < util.items.size(); ++c) {
+        if (!util.items[c].isNumber()) {
+            throw std::runtime_error(sim::format(
+                "results jsonl: 'util_per_cpu' item %zu is not a number",
+                c));
+        }
         rec.result.utilPerCpu[c] = util.items[c].number;
     }
     rec.result.irqs = res.u64("irqs");
@@ -375,11 +391,17 @@ parsePointRecord(const Value &pv)
     if (res.has("intervals"))
         rec.result.intervals = readIntervals(res.field("intervals"));
     const Value &events = res.field("event_totals");
+    if (!events.isObject())
+        throw std::runtime_error(
+            "results jsonl: 'event_totals' is not an object");
     for (std::size_t e = 0; e < prof::numEvents; ++e) {
-        const auto ev = static_cast<prof::Event>(e);
-        auto it = events.fields.find(std::string(prof::eventName(ev)));
-        if (it != events.fields.end())
-            rec.result.eventTotals[e] = it->second.asU64();
+        const std::string name(
+            prof::eventName(static_cast<prof::Event>(e)));
+        if (!events.has(name)) {
+            throw std::runtime_error("results jsonl: 'event_totals' lacks '" +
+                                     name + "'");
+        }
+        rec.result.eventTotals[e] = events.u64(name);
     }
     return rec;
 }

@@ -29,6 +29,13 @@ SystemConfig::validate() const
             "(per-CPU result arrays and affinity masks cap the model)",
             maxModelCpus, platform.numCpus));
     }
+    if (platform.itlbEntries == 0 || platform.dtlbEntries == 0) {
+        throw std::runtime_error(sim::format(
+            "SystemConfig: platform.itlbEntries and platform.dtlbEntries "
+            "must be positive, got %u and %u (a TLB with no entries "
+            "cannot hold the translation it just walked)",
+            platform.itlbEntries, platform.dtlbEntries));
+    }
     if (!(wireBitsPerSec > 0.0)) {
         throw std::runtime_error(sim::format(
             "SystemConfig: wireBitsPerSec must be positive, got %g "

@@ -27,7 +27,9 @@ void
 CacheHierarchy::fillLine(sim::Addr line_addr, LineState state)
 {
     // Inclusive fill: install at every level; L3 victims back-invalidate
-    // the inner levels to preserve inclusion.
+    // the inner levels to preserve inclusion. The caller's L1 lookup
+    // missed, and the L2/L3 inserts below cannot make the line present
+    // in L1, so L1 fills without a presence walk.
     Cache::Victim v3 = l3.insert(line_addr, state);
     if (v3.valid) {
         l2.invalidate(v3.lineAddr);
@@ -36,16 +38,19 @@ CacheHierarchy::fillLine(sim::Addr line_addr, LineState state)
     Cache::Victim v2 = l2.insert(line_addr, state);
     if (v2.valid)
         l1.invalidate(v2.lineAddr);
-    l1.insert(line_addr, state);
+    l1.fillAbsent(line_addr, state);
 }
 
 void
 CacheHierarchy::fillInner(sim::Addr line_addr, LineState state)
 {
-    Cache::Victim v2 = l2.insert(line_addr, state);
+    // The caller's L1 and L2 lookups both missed; since then only the
+    // local L3 and remote hierarchies were touched, and back-
+    // invalidations remove lines, so neither level holds the line.
+    Cache::Victim v2 = l2.fillAbsent(line_addr, state);
     if (v2.valid)
         l1.invalidate(v2.lineAddr);
-    l1.insert(line_addr, state);
+    l1.fillAbsent(line_addr, state);
 }
 
 void
@@ -74,9 +79,10 @@ CacheHierarchy::access(sim::Addr addr, std::uint32_t bytes, bool write,
     if (overlap <= 0.0 || overlap > 1.0)
         sim::panic("access overlap factor %f out of (0,1]", overlap);
 
+    // Line sizes are powers of two (Cache enforces it): mask, don't divide.
     const unsigned line = lineBytes();
-    const sim::Addr first = addr / line * line;
-    const sim::Addr last = (addr + bytes - 1) / line * line;
+    const sim::Addr first = addr & ~sim::Addr{line - 1};
+    const sim::Addr last = (addr + bytes - 1) & ~sim::Addr{line - 1};
 
     if (AddressAllocator::isUncacheable(addr)) {
         // Device registers: every access goes to the bus, serialized.
@@ -291,8 +297,8 @@ SnoopDomain::dmaWrite(sim::Addr addr, std::uint32_t bytes)
     DmaResult res;
     if (bytes == 0)
         return res;
-    const sim::Addr first = addr / lineSize * lineSize;
-    const sim::Addr last = (addr + bytes - 1) / lineSize * lineSize;
+    const sim::Addr first = addr & ~sim::Addr{lineSize - 1};
+    const sim::Addr last = (addr + bytes - 1) & ~sim::Addr{lineSize - 1};
     for (sim::Addr la = first; la <= last; la += lineSize) {
         ++res.lines;
         for (CacheHierarchy *h : all) {
@@ -309,8 +315,8 @@ SnoopDomain::dmaRead(sim::Addr addr, std::uint32_t bytes)
     DmaResult res;
     if (bytes == 0)
         return res;
-    const sim::Addr first = addr / lineSize * lineSize;
-    const sim::Addr last = (addr + bytes - 1) / lineSize * lineSize;
+    const sim::Addr first = addr & ~sim::Addr{lineSize - 1};
+    const sim::Addr last = (addr + bytes - 1) & ~sim::Addr{lineSize - 1};
     for (sim::Addr la = first; la <= last; la += lineSize) {
         ++res.lines;
         for (CacheHierarchy *h : all) {

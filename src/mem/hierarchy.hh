@@ -153,10 +153,16 @@ class CacheHierarchy : public stats::Group
     SnoopDomain &domain;
     MemTiming timing; ///< copied from domain at construction
 
-    /** Fill a line into every level, maintaining inclusion. */
+    /**
+     * Fill a line into every level, maintaining inclusion. The line
+     * must be absent from L1 (the L2-hit path).
+     */
     void fillLine(sim::Addr line_addr, LineState state);
 
-    /** Fill L2 and L1 only (L3 already filled by findOrInsert). */
+    /**
+     * Fill L2 and L1 only (L3 already filled by findOrInsert). The line
+     * must be absent from both.
+     */
     void fillInner(sim::Addr line_addr, LineState state);
 
     /** Upgrade a locally-present line to Modified at every level. */

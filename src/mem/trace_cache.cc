@@ -13,58 +13,81 @@ TraceCache::TraceCache(stats::Group *parent, const std::string &name,
 {
 }
 
+void
+TraceCache::unlink(std::uint32_t f)
+{
+    Entry &e = entries[f];
+    if (e.prev != none)
+        entries[e.prev].next = e.next;
+    else
+        head = e.next;
+    if (e.next != none)
+        entries[e.next].prev = e.prev;
+    else
+        tail = e.prev;
+}
+
+void
+TraceCache::pushFront(std::uint32_t f)
+{
+    entries[f].prev = none;
+    entries[f].next = head;
+    if (head != none)
+        entries[head].prev = f;
+    else
+        tail = f;
+    head = f;
+}
+
 unsigned
 TraceCache::accessSlow(std::uint16_t func_id,
                        std::uint32_t footprint_bytes)
 {
-    auto it = map.find(func_id);
-    if (it != map.end()) {
+    if (resident(func_id)) {
         ++hits;
-        lru.splice(lru.begin(), lru, it->second);
+        if (func_id != head) {
+            unlink(func_id);
+            pushFront(func_id);
+        }
         mruFunc = func_id;
         mruValid = true;
         return 0;
     }
 
-    if (footprint_bytes > capacity) {
-        // A single function larger than the whole cache: permanent
-        // streaming misses, never resident.
-        const unsigned lines =
-            static_cast<unsigned>((footprint_bytes + 63) / 64);
-        misses += lines;
-        return lines;
-    }
-
-    while (used + footprint_bytes > capacity && !lru.empty()) {
-        const Entry &victim = lru.back();
-        used -= victim.bytes;
-        map.erase(victim.func);
-        lru.pop_back();
-    }
-
-    lru.push_front(Entry{func_id, footprint_bytes});
-    map[func_id] = lru.begin();
-    used += footprint_bytes;
-    mruFunc = func_id;
-    mruValid = true;
-
     const unsigned lines =
         static_cast<unsigned>((footprint_bytes + 63) / 64);
     misses += lines;
-    return lines;
-}
+    if (footprint_bytes > capacity) {
+        // A single function larger than the whole cache: permanent
+        // streaming misses, never resident.
+        return lines;
+    }
 
-bool
-TraceCache::resident(std::uint16_t func_id) const
-{
-    return map.count(func_id) != 0;
+    while (used + footprint_bytes > capacity && tail != none) {
+        Entry &victim = entries[tail];
+        used -= victim.bytes;
+        victim.present = false;
+        unlink(tail);
+    }
+
+    if (func_id >= entries.size())
+        entries.resize(static_cast<std::size_t>(func_id) + 1);
+    entries[func_id].bytes = footprint_bytes;
+    entries[func_id].present = true;
+    pushFront(func_id);
+    used += footprint_bytes;
+    mruFunc = func_id;
+    mruValid = true;
+    return lines;
 }
 
 void
 TraceCache::flushAll()
 {
-    lru.clear();
-    map.clear();
+    for (Entry &e : entries)
+        e.present = false;
+    head = none;
+    tail = none;
     used = 0;
     mruValid = false;
 }

@@ -15,15 +15,20 @@
 #define NETAFFINITY_MEM_TRACE_CACHE_HH
 
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
 #include "src/stats/stats.hh"
 
 namespace na::mem {
 
-/** LRU footprint cache for decoded code traces. */
+/**
+ * LRU footprint cache for decoded code traces.
+ *
+ * Function ids are dense, so entries are indexed by id directly and
+ * threaded on an index-linked LRU list: hits and misses are O(1) and
+ * allocate nothing once the highest id has been seen.
+ */
 class TraceCache : public stats::Group
 {
   public:
@@ -45,7 +50,7 @@ class TraceCache : public stats::Group
     access(std::uint16_t func_id, std::uint32_t footprint_bytes)
     {
         // A repeat of the most recent function is already at the LRU
-        // front: the map lookup and splice are both no-ops.
+        // front: the lookup and relink are both no-ops.
         if (mruValid && func_id == mruFunc) {
             ++hits;
             return 0;
@@ -54,7 +59,11 @@ class TraceCache : public stats::Group
     }
 
     /** @return true if the function's trace is resident. */
-    bool resident(std::uint16_t func_id) const;
+    bool
+    resident(std::uint16_t func_id) const
+    {
+        return func_id < entries.size() && entries[func_id].present;
+    }
 
     /** Drop all traces. */
     void flushAll();
@@ -66,24 +75,32 @@ class TraceCache : public stats::Group
     stats::Scalar misses; ///< trace-line builds
 
   private:
+    static constexpr std::uint32_t none = ~std::uint32_t{0};
+
     struct Entry
     {
-        std::uint16_t func;
-        std::uint32_t bytes;
+        std::uint32_t bytes = 0;   ///< footprint while resident
+        std::uint32_t prev = none; ///< toward the LRU front (more recent)
+        std::uint32_t next = none; ///< toward the LRU back (less recent)
+        bool present = false;
     };
 
     std::uint64_t capacity;
     std::uint64_t used = 0;
-    std::list<Entry> lru; ///< front == most recent
-    std::unordered_map<std::uint16_t, std::list<Entry>::iterator> map;
+    std::uint32_t head = none; ///< most recent
+    std::uint32_t tail = none; ///< least recent (next victim)
+    std::vector<Entry> entries; ///< indexed by function id
 
     /**
      * Memo of the most recently executed resident function. A repeat
-     * execution is already at the LRU front, so the map lookup and
-     * splice are no-ops and can be skipped without changing LRU order.
+     * execution is already at the LRU front, so the lookup and relink
+     * are no-ops and can be skipped without changing LRU order.
      */
     std::uint16_t mruFunc = 0;
     bool mruValid = false;
+
+    void unlink(std::uint32_t f);
+    void pushFront(std::uint32_t f);
 
     unsigned accessSlow(std::uint16_t func_id,
                         std::uint32_t footprint_bytes);

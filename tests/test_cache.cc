@@ -149,6 +149,66 @@ TEST(CacheDeath, BadGeometryIsFatal)
                 ::testing::ExitedWithCode(1), "not divisible");
 }
 
+TEST(CacheDeath, AddressBeyondLineNumberRangePanics)
+{
+    stats::Group root(nullptr, "");
+    Cache cache(&root, "c", 4096, 4, 64);
+    // 64 B lines: line numbers must fit 30 bits, so 2^36 is the first
+    // address out of range; it must not alias line 0.
+    const sim::Addr beyond = sim::Addr{1} << 36;
+    EXPECT_DEATH(cache.lookup(beyond), "line number range");
+    EXPECT_DEATH(cache.insert(beyond, LineState::Shared),
+                 "line number range");
+    EXPECT_DEATH(cache.probe(beyond), "line number range");
+    EXPECT_DEATH(cache.invalidate(~sim::Addr{0}), "line number range");
+}
+
+TEST_F(CacheTest, HighestLineNumberDoesNotAliasLowLines)
+{
+    const sim::Addr top = (sim::Addr{1} << 36) - 64;
+    cache.insert(top, LineState::Modified);
+    EXPECT_EQ(cache.probe(top), LineState::Modified);
+    EXPECT_EQ(cache.probe(0), LineState::Invalid);
+    EXPECT_EQ(cache.probe(top & 0xffffffffULL), LineState::Invalid);
+    // AddressAllocator's regions end at 7 GiB, well inside the range.
+    cache.insert(7ULL << 30, LineState::Shared);
+    EXPECT_EQ(cache.probe(7ULL << 30), LineState::Shared);
+}
+
+TEST(CacheLayout, SetsTileHostCacheLines)
+{
+    // The L2/L3 geometry (8-way) is exactly one 64-byte host line per
+    // set; the L1 geometry (4-way) packs two sets per host line; no
+    // stride straddles a line boundary.
+    EXPECT_EQ(Cache::setBytes(8), 64u);
+    EXPECT_EQ(Cache::setBytes(4), 32u);
+    for (unsigned assoc = 1; assoc <= 64; ++assoc) {
+        const std::size_t b = Cache::setBytes(assoc);
+        EXPECT_GE(b, 5u * assoc) << assoc;
+        EXPECT_EQ(b & (b - 1), 0u) << assoc;
+    }
+}
+
+TEST_F(CacheTest, FillAbsentFillsFirstInvalidWayThenLru)
+{
+    // Four lines in one set; invalidating the second leaves a hole the
+    // next fill must take (no eviction); a further fill evicts the LRU.
+    for (int i = 0; i < 4; ++i)
+        cache.fillAbsent(static_cast<sim::Addr>(i) * 1024,
+                         LineState::Shared);
+    cache.invalidate(1024);
+    const Cache::Victim hole =
+        cache.fillAbsent(4 * 1024, LineState::Modified);
+    EXPECT_FALSE(hole.valid);
+    EXPECT_EQ(cache.evictions.value(), 0.0);
+    cache.lookup(0); // line 0 becomes MRU; line 2048 is now LRU
+    const Cache::Victim v = cache.fillAbsent(5 * 1024, LineState::Shared);
+    ASSERT_TRUE(v.valid);
+    EXPECT_EQ(v.lineAddr, 2048u);
+    EXPECT_EQ(cache.probe(4 * 1024), LineState::Modified);
+    EXPECT_EQ(cache.validLines(), 4u);
+}
+
 TEST_F(CacheTest, FindOrInsertMissFillsLine)
 {
     const auto r = cache.findOrInsert(0x1000, LineState::Shared);

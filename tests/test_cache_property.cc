@@ -9,6 +9,7 @@
 
 #include <list>
 #include <map>
+#include <optional>
 #include <tuple>
 
 #include "src/mem/cache.hh"
@@ -42,7 +43,8 @@ class RefCache
         return false;
     }
 
-    void
+    /** @return the evicted line address, if the set was full. */
+    std::optional<sim::Addr>
     insert(sim::Addr addr)
     {
         auto &set = data[setOf(addr)];
@@ -50,13 +52,19 @@ class RefCache
         for (auto it = set.begin(); it != set.end(); ++it) {
             if (*it == la) {
                 set.splice(set.begin(), set, it);
-                return;
+                return std::nullopt;
             }
         }
-        if (set.size() >= assoc)
+        std::optional<sim::Addr> victim;
+        if (set.size() >= assoc) {
+            victim = set.back();
             set.pop_back();
+        }
         set.push_front(la);
+        return victim;
     }
+
+    void clear() { data.clear(); }
 
     bool
     present(sim::Addr addr) const
@@ -223,12 +231,106 @@ TEST_P(CacheVsReference, FindOrInsertMatchesComposedPath)
     EXPECT_EQ(merged.validLines(), composed.validLines());
 }
 
+/**
+ * Every victim the compact rank bytes pick is the reference's LRU line,
+ * on a hit-heavy stream (so ranks age through every value) with
+ * invalidations punching holes (refilled by first invalid way) and
+ * periodic flushes (ranks survive, tags do not).
+ */
+TEST_P(CacheVsReference, VictimsMatchReferenceLru)
+{
+    const auto [assoc, line, seed] = GetParam();
+    const unsigned sets = 4;
+    stats::Group root(nullptr, "");
+    Cache cache(&root, "c",
+                static_cast<std::uint64_t>(sets) * assoc * line, assoc,
+                line);
+    RefCache ref(sets, assoc, line);
+    sim::Random rng(seed * 53 + 11);
+    // A footprint of 1.5x the capacity keeps every set full and busy.
+    const std::uint64_t span =
+        static_cast<std::uint64_t>(sets) * assoc * line * 3 / 2;
+
+    for (int i = 0; i < 20000; ++i) {
+        const sim::Addr addr = rng.range(0, span - 1);
+        if (i % 5000 == 4999) {
+            cache.flushAll();
+            ref.clear();
+            continue;
+        }
+        if (rng.chance(0.05)) {
+            ASSERT_EQ(cache.invalidate(addr) != LineState::Invalid,
+                      ref.present(addr));
+            ref.erase(addr);
+            continue;
+        }
+        const bool hit = cache.lookup(addr) != LineState::Invalid;
+        ASSERT_EQ(hit, ref.lookup(addr)) << "divergence at access " << i;
+        if (hit)
+            continue;
+        const Cache::Victim v = cache.insert(addr, LineState::Shared);
+        const std::optional<sim::Addr> ref_victim = ref.insert(addr);
+        ASSERT_EQ(v.valid, ref_victim.has_value())
+            << "victim divergence at access " << i;
+        if (v.valid) {
+            ASSERT_EQ(v.lineAddr, *ref_victim) << "at access " << i;
+        }
+    }
+}
+
+/**
+ * fillAbsent() is insert() on a line a lookup just proved absent:
+ * same victims, states, and counters over a mixed stream, with the
+ * walk-free fill used only where the hierarchy uses it.
+ */
+TEST_P(CacheVsReference, FillAbsentMatchesInsertOnAbsentLine)
+{
+    const auto [assoc, line, seed] = GetParam();
+    const unsigned sets = 8;
+    const std::uint64_t bytes =
+        static_cast<std::uint64_t>(sets) * assoc * line;
+    stats::Group root(nullptr, "");
+    Cache fast(&root, "f", bytes, assoc, line);
+    Cache slow(&root, "s", bytes, assoc, line);
+    sim::Random rng(seed * 211 + 5);
+
+    for (int i = 0; i < 12000; ++i) {
+        const sim::Addr addr = rng.range(0, 1u << 16);
+        if (rng.chance(0.08)) {
+            ASSERT_EQ(fast.invalidate(addr), slow.invalidate(addr));
+            continue;
+        }
+        if (rng.chance(0.05)) {
+            ASSERT_EQ(fast.downgrade(addr), slow.downgrade(addr));
+            continue;
+        }
+        const LineState want =
+            rng.chance(0.3) ? LineState::Modified : LineState::Shared;
+        const LineState prev = slow.lookup(addr);
+        ASSERT_EQ(fast.lookup(addr), prev) << "at access " << i;
+        if (prev != LineState::Invalid)
+            continue;
+        const Cache::Victim a = fast.fillAbsent(addr, want);
+        const Cache::Victim b = slow.insert(addr, want);
+        ASSERT_EQ(a.valid, b.valid) << "at access " << i;
+        ASSERT_EQ(a.lineAddr, b.lineAddr) << "at access " << i;
+        ASSERT_EQ(a.dirty, b.dirty) << "at access " << i;
+        ASSERT_EQ(fast.probe(addr), want);
+    }
+    EXPECT_EQ(fast.hits.value(), slow.hits.value());
+    EXPECT_EQ(fast.misses.value(), slow.misses.value());
+    EXPECT_EQ(fast.evictions.value(), slow.evictions.value());
+    EXPECT_EQ(fast.writebacks.value(), slow.writebacks.value());
+    EXPECT_EQ(fast.validLines(), slow.validLines());
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheVsReference,
     ::testing::Values(Geometry{1, 64, 1}, Geometry{2, 64, 2},
                       Geometry{4, 64, 3}, Geometry{8, 64, 4},
                       Geometry{4, 32, 5}, Geometry{4, 128, 6},
-                      Geometry{16, 64, 7}, Geometry{8, 128, 8}),
+                      Geometry{16, 64, 7}, Geometry{8, 128, 8},
+                      Geometry{3, 64, 9}, Geometry{12, 64, 10}),
     [](const ::testing::TestParamInfo<Geometry> &info) {
         return "assoc" + std::to_string(std::get<0>(info.param)) +
                "_line" + std::to_string(std::get<1>(info.param)) +

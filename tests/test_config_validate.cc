@@ -50,6 +50,26 @@ TEST(ConfigValidate, RejectsCpuCountOutsideModelRange)
     EXPECT_THROW(cfg.validate(), std::runtime_error);
 }
 
+TEST(ConfigValidate, RejectsZeroEntryTlbs)
+{
+    for (const bool itlb : {true, false}) {
+        core::SystemConfig cfg = goodConfig();
+        (itlb ? cfg.platform.itlbEntries : cfg.platform.dtlbEntries) = 0;
+        try {
+            cfg.validate();
+            FAIL() << "expected std::runtime_error";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("tlbEntries"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    core::SystemConfig cfg = goodConfig();
+    cfg.platform.itlbEntries = 1;
+    cfg.platform.dtlbEntries = 1;
+    EXPECT_NO_THROW(cfg.validate());
+}
+
 TEST(ConfigValidate, RejectsNonPositiveWireRate)
 {
     core::SystemConfig cfg = goodConfig();

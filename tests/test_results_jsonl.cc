@@ -82,7 +82,10 @@ const char *const recordBody =
     "\"irqs\": 10, \"ipis\": 2, \"migrations\": 1, "
     "\"context_switches\": 5, \"tx_drops_ring_full\": 0, "
     "\"rx_drops_ring_full\": 0, \"rx_frames_per_queue\": [3], "
-    "\"event_totals\": {}}";
+    "\"event_totals\": {\"cycles\": 1000, \"instructions\": 800, "
+    "\"branches\": 90, \"br_mispredicts\": 4, \"llc_misses\": 7, "
+    "\"l2_misses\": 9, \"tc_misses\": 3, \"itlb_misses\": 1, "
+    "\"dtlb_misses\": 2, \"machine_clears\": 5}}";
 
 /** One line: @p body under @p schema_token and a 16-hex key. */
 std::string
@@ -236,6 +239,65 @@ TEST(ResultsJsonl, CurrentSchemaFieldsAreRequired)
     const std::string msg =
         readError(withField(os.str(), "\"flow_learn_drops\": 0, ", ""));
     EXPECT_NE(msg.find("flow_learn_drops"), std::string::npos) << msg;
+}
+
+TEST(ResultsJsonl, EventTotalsMustNameEveryEvent)
+{
+    std::istringstream in(recordLine("0000000000000001"));
+    const core::JsonlFile r = core::readResultsJsonl(in);
+    ASSERT_EQ(r.records.size(), 1u);
+    EXPECT_EQ(r.records[0].rec.result.eventTotals[static_cast<std::size_t>(
+                  prof::Event::MachineClears)],
+              5u);
+
+    // A hand-truncated block used to read back as zero counts.
+    for (const char *field :
+         {"\"cycles\": 1000, ", ", \"machine_clears\": 5"}) {
+        const std::string msg = readError(
+            recordLine("0000000000000001", withField(recordBody, field, "")));
+        EXPECT_NE(msg.find("event_totals"), std::string::npos)
+            << field << ": " << msg;
+        EXPECT_NE(msg.find("line 1"), std::string::npos) << msg;
+    }
+    EXPECT_NE(readError(recordLine(
+                  "0000000000000001",
+                  withField(recordBody, "\"event_totals\": {",
+                            "\"event_totals\": [], \"x\": {"))),
+              "");
+}
+
+TEST(ResultsJsonl, UtilPerCpuMustHoldOneNumberPerCpu)
+{
+    for (const char *util : {"[0.5]", "[0.5, 0.5, 0.5]", "[]",
+                             "[0.5, \"0.5\"]", "[0.5, null]", "0.5"}) {
+        const std::string msg = readError(recordLine(
+            "0000000000000001",
+            withField(recordBody, "[0.5, 0.5]", util)));
+        EXPECT_NE(msg.find("util_per_cpu"), std::string::npos)
+            << util << ": " << msg;
+    }
+}
+
+TEST(ResultsJsonl, OooDepthHistMustHaveEightBuckets)
+{
+    const std::string reorder =
+        "\"reorder\": {\"ooo_arrivals\": 1, \"ooo_windows\": 1, "
+        "\"ooo_window_ticks\": 10, \"ooo_depth_hist\": HIST, "
+        "\"dup_ack_bursts\": 0, \"retransmits\": 0, "
+        "\"spurious_retransmits\": 0, \"sender_hops\": 0}, "
+        "\"event_totals\"";
+    const auto withHist = [&](const std::string &hist) {
+        return recordLine(
+            "0000000000000001",
+            withField(recordBody, "\"event_totals\"",
+                      withField(reorder, "HIST", hist)));
+    };
+    EXPECT_EQ(readError(withHist("[1, 0, 0, 0, 0, 0, 0, 0]")), "");
+    for (const char *hist : {"[1]", "[]", "[1, 0, 0, 0, 0, 0, 0, 0, 0]"}) {
+        const std::string msg = readError(withHist(hist));
+        EXPECT_NE(msg.find("ooo_depth_hist"), std::string::npos)
+            << hist << ": " << msg;
+    }
 }
 
 TEST(ResultsJsonl, OutOfRangeIntegersAreRejected)
